@@ -73,7 +73,7 @@ func measure(c *topo.Colorado, bgFlows int) (perHost units.BitRate, alerts int, 
 }
 
 func main() {
-	shards := flag.Int("shards", 0, "run the simulated network on N parallel shards (0 = the classic single-scheduler path; results are byte-identical at any N)")
+	shards := flag.Int("shards", 0, "run the simulated network on N parallel shards (0 = the classic single-scheduler path; output is byte-identical at any N >= 1, and 0 can differ)")
 	bgFlows := flag.Int("background-flows", 0, "enterprise background mice over the run, advanced by the hybrid fluid engine (0 = none; try 100000)")
 	flag.Parse()
 	shard.SetDefaultPlan(*shards)

@@ -25,7 +25,7 @@ import (
 )
 
 func main() {
-	shards := flag.Int("shards", 0, "run the simulated network on N parallel shards (0 = the classic single-scheduler path; results are byte-identical at any N)")
+	shards := flag.Int("shards", 0, "run the simulated network on N parallel shards (0 = the classic single-scheduler path; output is byte-identical at any N >= 1, and 0 can differ)")
 	flag.Parse()
 	shard.SetDefaultPlan(*shards)
 

@@ -34,7 +34,7 @@ var scenarioJSON []byte
 func main() {
 	traceSpans := flag.Bool("trace-spans", false,
 		"run one instrumented scenario with a reference transfer during the fault and print its critical-path analysis")
-	shards := flag.Int("shards", 0, "run the simulated network on N parallel shards (0 = the classic single-scheduler path; results are byte-identical at any N)")
+	shards := flag.Int("shards", 0, "run the simulated network on N parallel shards (0 = the classic single-scheduler path; output is byte-identical at any N >= 1, and 0 can differ)")
 	flag.Parse()
 	shard.SetDefaultPlan(*shards)
 	sc, err := fault.ParseScenario(scenarioJSON)

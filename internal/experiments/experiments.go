@@ -208,7 +208,7 @@ func LineCard() *LineCardResult {
 		if faulty {
 			// Tally what the devices saw.
 			for _, l := range n.Links() {
-				res.WireDrops += l.WireDrops
+				res.WireDrops += l.WireDrops()
 				for _, p := range []*netsim.Port{l.A, l.B} {
 					res.SNMPDrops += p.Counters.QueueDrops
 				}

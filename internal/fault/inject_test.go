@@ -266,7 +266,7 @@ func TestInjectorDeterministic(t *testing.T) {
 			})
 		})
 		n.RunFor(8 * time.Second)
-		return n.TotalDrops(), inj.Injected()
+		return n.Conservation().Dropped, inj.Injected()
 	}
 	d1, r1 := run()
 	d2, r2 := run()

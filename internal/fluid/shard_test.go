@@ -1,6 +1,7 @@
 package fluid
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -10,9 +11,9 @@ import (
 
 // TestHybridShardInvariance: the fluid tick runs on the control
 // scheduler, which fires at barrier windows with every shard quiesced,
-// so a hybrid scenario must produce byte-identical results at any
-// shard count. The scenario bottleneck is a marked cut link, so
-// AutoPlan actually splits the dumbbell.
+// so a hybrid scenario must produce byte-identical results, event
+// count included, at any shard count. The scenario bottleneck is a
+// marked cut link, so AutoPlan actually splits the dumbbell.
 func TestHybridShardInvariance(t *testing.T) {
 	sc := Scenarios()[1] // contended: elephant + background across the cut
 	sc.Warmup = 0
@@ -25,7 +26,10 @@ func TestHybridShardInvariance(t *testing.T) {
 		if len(st.AuditErrs) != 0 {
 			t.Fatalf("shards=%d audit failed: %v", shards, st.AuditErrs)
 		}
-		return hybridFingerprint(st, eng)
+		if ctl := eng.net.Sched.Processed; st.Events <= ctl {
+			t.Fatalf("shards=%d: %d events counts only the control scheduler's %d", shards, st.Events, ctl)
+		}
+		return fmt.Sprintf("events=%d\n", st.Events) + hybridFingerprint(st, eng)
 	}
 	ref := run(1)
 	for _, n := range []int{2, 4} {

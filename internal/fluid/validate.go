@@ -73,7 +73,7 @@ type ModeStats struct {
 	Elephant  units.BitRate  // elephant throughput (0 when no elephant)
 	BgBytes   units.ByteSize // background bytes delivered end to end
 	BgLoss    float64        // background loss fraction
-	Events    uint64         // scheduler events executed
+	Events    uint64         // scheduler events executed, control and shard schedulers summed
 	AuditErrs []string       // invariant-audit findings (must be empty)
 }
 
@@ -225,6 +225,16 @@ func (s *scenarioNet) startElephant() *tcp.Conn {
 	return tcp.Dial(s.ephSrc, srv, -1, tcp.TunedWith(&tcp.Cubic{}), nil)
 }
 
+// eventsProcessed counts every event the run executed: the control
+// scheduler's, plus each shard scheduler's under sharded execution.
+func eventsProcessed(n *netsim.Network) uint64 {
+	total := n.Sched.Processed
+	for _, s := range n.ShardSchedulers() {
+		total += s.Processed
+	}
+	return total
+}
+
 func auditStrings(n *netsim.Network) []string {
 	var out []string
 	for _, err := range n.AuditInvariants() {
@@ -254,7 +264,7 @@ func RunPacket(sc Scenario) ModeStats {
 	ackedBase, dropBase := bg.acked, bg.dropped
 	s.net.RunFor(sc.Duration)
 
-	st := ModeStats{Events: s.net.Sched.Processed, AuditErrs: auditStrings(s.net)}
+	st := ModeStats{Events: eventsProcessed(s.net), AuditErrs: auditStrings(s.net)}
 	if eph != nil {
 		st.Elephant = rateOver(eph.Stats().BytesAcked-ephBase, sc.Duration)
 	}
@@ -291,7 +301,7 @@ func startPacketMice(s *scenarioNet, sc Scenario, mean units.ByteSize) *packetMi
 		rng:    sim.NewRand(sim.DeriveSeed("fluid/validate", sc.Name)),
 		lambda: sc.FlowsPerSecond,
 	}
-	s.net.DropHook = func(pkt *netsim.Packet, _ string) {
+	s.net.DropHook = func(pkt *netsim.Packet, _ netsim.DropSite) {
 		if pkt.Flow.Dst == "bg-server" {
 			m.dropped += pkt.Size
 		}
@@ -364,7 +374,7 @@ func RunHybrid(sc Scenario) (ModeStats, *Engine) {
 	}
 	s.net.RunFor(sc.Duration)
 
-	st := ModeStats{Events: s.net.Sched.Processed, AuditErrs: auditStrings(s.net)}
+	st := ModeStats{Events: eventsProcessed(s.net), AuditErrs: auditStrings(s.net)}
 	if eph != nil {
 		st.Elephant = rateOver(eph.Stats().BytesAcked-ephBase, sc.Duration)
 	}

@@ -210,9 +210,9 @@ func TestInvariantsCatchTampering(t *testing.T) {
 	tcp.Dial(c, srv, 100*units.KB, tcp.Tuned(), nil)
 	n.RunFor(time.Second)
 
-	// A phantom legacy drop entry breaks both drop agreement and (by
+	// A phantom drop-site entry breaks drop agreement and (by
 	// construction) nothing else — exactly one class of error.
-	n.Drops["phantom"] += 3
+	n.DropStats[netsim.DropSite{Node: "phantom"}] += 3
 	errs := n.AuditInvariants()
 	if len(errs) == 0 {
 		t.Fatal("tampered drop accounting not detected")
@@ -241,7 +241,7 @@ func TestSweepReportsViolations(t *testing.T) {
 				Size: 100,
 			})
 			n.Run()
-			n.Drops["phantom"]++ // sabotage
+			n.DropStats[netsim.DropSite{Node: "phantom"}]++ // sabotage
 			return 0, nil
 		})
 	if len(r.Violations()) == 0 {
@@ -254,7 +254,7 @@ func TestSweepReportsViolations(t *testing.T) {
 	r2 := Sweep(Config{Name: "viol", SkipInvariants: true}, []KeyString{"p"},
 		func(ctx *Ctx, p KeyString) (int, error) {
 			n := ctx.NewNetwork("net")
-			n.Drops["phantom"]++
+			n.DropStats[netsim.DropSite{Node: "phantom"}]++
 			return 0, nil
 		})
 	if r2.Err() != nil {

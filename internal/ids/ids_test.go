@@ -131,8 +131,8 @@ func TestPassiveTapCausesNoLoss(t *testing.T) {
 	if done == nil || done.Retransmits != 0 {
 		t.Error("IDS tap must never perturb traffic")
 	}
-	if n.TotalDrops() != 0 {
-		t.Errorf("drops = %d, want 0", n.TotalDrops())
+	if got := n.Conservation().Dropped; got != 0 {
+		t.Errorf("drops = %d, want 0", got)
 	}
 }
 

@@ -117,10 +117,6 @@ type Device struct {
 	// SFDrops counts packets dropped at the degraded-mode shared pool.
 	SFDrops uint64
 
-	// FilterDrops counts packets dropped by each filter, keyed by
-	// FilterName.
-	FilterDrops map[string]uint64
-
 	// Forwarded counts packets successfully forwarded.
 	Forwarded uint64
 
@@ -232,7 +228,6 @@ func (d *Device) Receive(pkt *Packet, in *Port) {
 	pkt.Hops++
 	for _, f := range d.filters {
 		if !f.Check(pkt, in) {
-			d.FilterDrops[f.FilterName()]++
 			d.net.countDrop(d.ctx, pkt, DropFiltered, d.Name(), f.FilterName())
 			return
 		}

@@ -1,10 +1,6 @@
 package netsim
 
-import (
-	"strings"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Scheduler-attribution tags for netsim components (see sim.TagFor).
 var (
@@ -13,15 +9,12 @@ var (
 	tagDevice = sim.TagFor("netsim.device")
 )
 
-// DropReason is the structured cause of a packet drop. Drops were
-// previously tallied only under free-text strings; the enum makes them
-// aggregatable by cause (all queue overflows across the topology, all
-// wire losses) while DropReason.Format regenerates the original
-// human-readable string for logs, tests, and the legacy Drops map.
+// DropReason is the structured cause of a packet drop. Drops aggregate
+// by cause (all queue overflows across the topology, all wire losses)
+// and, through DropSite, by location.
 type DropReason uint8
 
-// Drop reasons. DropOther covers custom nodes using the free-text
-// CountDrop API.
+// Drop reasons.
 const (
 	DropQueueOverflow    DropReason = iota // egress buffer full
 	DropMaxHops                            // routing loop guard
@@ -34,7 +27,6 @@ const (
 	DropSFOverflow                         // degraded store-and-forward pool full
 	DropFirewallOverflow                   // firewall inspection input buffer full
 	DropFirewallPolicy                     // firewall rule rejection
-	DropOther                              // free-text CountDrop from a custom node
 
 	numDropReasons // sentinel
 )
@@ -51,7 +43,6 @@ var dropReasonNames = [numDropReasons]string{
 	DropSFOverflow:       "sf-overflow",
 	DropFirewallOverflow: "firewall-overflow",
 	DropFirewallPolicy:   "firewall-policy",
-	DropOther:            "other",
 }
 
 // String returns the short aggregation key used in metrics labels and
@@ -63,42 +54,6 @@ func (r DropReason) String() string {
 	return "unknown"
 }
 
-// Format renders the human-readable drop description historically used
-// as the Drops map key. node is where the drop happened; detail is the
-// reason-specific extra (destination for no-route, filter name for
-// filtered, the verbatim free text for DropOther).
-func (r DropReason) Format(node, detail string) string {
-	switch r {
-	case DropQueueOverflow:
-		return "queue overflow at " + node
-	case DropMaxHops:
-		return "max hops exceeded at " + node
-	case DropLinkDown:
-		return "link down: " + node
-	case DropWireLoss:
-		return "wire loss on " + node
-	case DropFiltered:
-		return "filtered by " + detail + " at " + node
-	case DropNoRoute:
-		return "no route at " + node + " to " + detail
-	case DropNoLocalRoute:
-		return "no route from " + node + " to " + detail
-	case DropNoHandler:
-		return "no handler on " + node
-	case DropSFOverflow:
-		return "store-and-forward pool overflow at " + node
-	case DropFirewallOverflow:
-		return "firewall buffer overflow at " + node
-	case DropFirewallPolicy:
-		return "firewall policy at " + node
-	default:
-		if detail != "" {
-			return detail
-		}
-		return "dropped at " + node
-	}
-}
-
 // DropSite is the aggregation key for structured drop accounting: what
 // happened and where.
 type DropSite struct {
@@ -107,51 +62,3 @@ type DropSite struct {
 }
 
 func (s DropSite) String() string { return s.Reason.String() + "@" + s.Node }
-
-// ParseDropText inverts DropReason.Format: it recovers the structured
-// (reason, node, detail) triple from a legacy human-readable drop
-// description, for migrating free-text Drops tallies into structured
-// accounting. Recovery is exact whenever node and detail do not
-// themselves contain the separator tokens (" at ", " to ", "link down: "
-// prefixes and friends); text that matches no known shape comes back as
-// DropOther with the verbatim text in detail, mirroring Format's
-// fallback. The re-formatted result always reproduces the input:
-// Format(ParseDropText(s)) == s for every s Format can emit.
-func ParseDropText(text string) (reason DropReason, node, detail string) {
-	switch {
-	case strings.HasPrefix(text, "queue overflow at "):
-		return DropQueueOverflow, strings.TrimPrefix(text, "queue overflow at "), ""
-	case strings.HasPrefix(text, "max hops exceeded at "):
-		return DropMaxHops, strings.TrimPrefix(text, "max hops exceeded at "), ""
-	case strings.HasPrefix(text, "link down: "):
-		return DropLinkDown, strings.TrimPrefix(text, "link down: "), ""
-	case strings.HasPrefix(text, "wire loss on "):
-		return DropWireLoss, strings.TrimPrefix(text, "wire loss on "), ""
-	case strings.HasPrefix(text, "filtered by "):
-		rest := strings.TrimPrefix(text, "filtered by ")
-		if i := strings.LastIndex(rest, " at "); i >= 0 {
-			return DropFiltered, rest[i+4:], rest[:i]
-		}
-	case strings.HasPrefix(text, "no route at "):
-		rest := strings.TrimPrefix(text, "no route at ")
-		if i := strings.Index(rest, " to "); i >= 0 {
-			return DropNoRoute, rest[:i], rest[i+4:]
-		}
-	case strings.HasPrefix(text, "no route from "):
-		rest := strings.TrimPrefix(text, "no route from ")
-		if i := strings.Index(rest, " to "); i >= 0 {
-			return DropNoLocalRoute, rest[:i], rest[i+4:]
-		}
-	case strings.HasPrefix(text, "no handler on "):
-		return DropNoHandler, strings.TrimPrefix(text, "no handler on "), ""
-	case strings.HasPrefix(text, "store-and-forward pool overflow at "):
-		return DropSFOverflow, strings.TrimPrefix(text, "store-and-forward pool overflow at "), ""
-	case strings.HasPrefix(text, "firewall buffer overflow at "):
-		return DropFirewallOverflow, strings.TrimPrefix(text, "firewall buffer overflow at "), ""
-	case strings.HasPrefix(text, "firewall policy at "):
-		return DropFirewallPolicy, strings.TrimPrefix(text, "firewall policy at "), ""
-	case strings.HasPrefix(text, "dropped at "):
-		return DropOther, strings.TrimPrefix(text, "dropped at "), ""
-	}
-	return DropOther, "", text
-}

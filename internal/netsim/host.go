@@ -37,9 +37,6 @@ type Host struct {
 	// host stamps IDs from its own counter instead of the network's
 	// shared one, whose interleaving would depend on the partition.
 	idBase, idSeq uint64
-
-	// Dropped counts packets that arrived for a port with no handler.
-	Dropped uint64
 }
 
 type protoPort struct {
@@ -86,7 +83,6 @@ func (h *Host) Receive(pkt *Packet, _ *Port) {
 		fn.Deliver(pkt)
 		return
 	}
-	h.Dropped++
 	h.net.countDrop(h.ctx, pkt, DropNoHandler, h.Name(), "")
 }
 

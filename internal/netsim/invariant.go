@@ -85,13 +85,12 @@ func (n *Network) Conservation() Conservation {
 // AuditInvariants checks the simulation invariants every finished run
 // must satisfy and returns one error per violation:
 //
-//   - packet conservation: injected = delivered + dropped + in-flight
+//   - packet conservation: the Conservation ledger balances
 //   - queue accounting: per-port byte counters match queued packets,
 //     are non-negative, and respect the configured capacity
 //   - fluid byte column: every port carrying fluid background traffic
 //     balances offered = delivered + dropped + queued (see fluid.go)
-//   - drop agreement: the legacy Drops map, structured DropStats, and
-//     the conservation ledger all total the same count
+//   - drop agreement: the DropStats total equals Conservation().Dropped
 //   - clock sanity: simulation time is non-negative and never regressed
 //
 // Custom nodes implementing SelfAuditor contribute their own checks.
@@ -128,15 +127,12 @@ func (n *Network) AuditInvariants() []error {
 		}
 	}
 
-	var legacy, structured uint64
-	for _, c := range n.Drops {
-		legacy += c
-	}
+	var sites uint64
 	for _, c := range n.DropStats {
-		structured += c
+		sites += c
 	}
-	if dropped := n.dropped.Load(); legacy != structured || legacy != dropped {
-		errs = append(errs, fmt.Errorf("drop accounting disagrees: Drops %d, DropStats %d, counted %d", legacy, structured, dropped))
+	if dropped := n.dropped.Load(); sites != dropped {
+		errs = append(errs, fmt.Errorf("drop accounting disagrees: DropStats %d, ledger dropped %d", sites, dropped))
 	}
 
 	if n.Sched.Now() < 0 {

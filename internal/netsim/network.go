@@ -57,21 +57,17 @@ type Network struct {
 	links   []*Link
 	nextID  uint64
 
-	// Drops tallies every packet the network destroyed, by formatted
-	// human-readable reason. It is experiment bookkeeping, not something
-	// devices can see. DropStats is the structured equivalent,
-	// aggregatable by cause. Both are guarded by dropMu: drops are cold,
-	// and under sharded execution they arrive from several shard
-	// goroutines whose per-site increments commute.
-	Drops map[string]uint64
-
-	// DropStats tallies drops by structured (reason, location) site.
+	// DropStats tallies every packet the network destroyed, by
+	// structured (reason, location) site. It is experiment bookkeeping —
+	// the ground truth for soft failures — not something devices can
+	// see. It is guarded by dropMu: under sharded execution drops arrive
+	// from several shard goroutines whose per-site increments commute.
 	DropStats map[DropSite]uint64
 
 	// DropHook, when set, observes every dropped packet. Tests use it to
 	// assert on loss behaviour. It is invoked under dropMu, so hooks are
 	// serialized even under sharded execution.
-	DropHook func(pkt *Packet, reason string)
+	DropHook func(pkt *Packet, site DropSite)
 
 	dropMu sync.Mutex
 
@@ -103,7 +99,6 @@ type Network struct {
 	ctl       *shardCtx
 	shardCtxs []*shardCtx
 
-	engineMode  bool
 	runner      Runner
 	planApplied bool
 	auditors    []func() []error
@@ -140,7 +135,6 @@ func NewIsolated(seed int64) *Network {
 		rng:       sim.NewRand(seed),
 		nodes:     make(map[string]Node),
 		hostSet:   make(map[string]*Host),
-		Drops:     make(map[string]uint64),
 		DropStats: make(map[DropSite]uint64),
 	}
 	n.ctl = &shardCtx{sched: n.Sched}
@@ -206,7 +200,7 @@ func (n *Network) collectMetrics(emit telemetry.EmitFunc) {
 	for i, l := range n.links {
 		emit("netsim_link_wire_drops",
 			telemetry.Labels{"link": l.describe(), "index": strconv.Itoa(i)},
-			float64(l.WireDrops))
+			float64(l.WireDrops()))
 	}
 	for _, sc := range n.DropSites() {
 		emit("netsim_drops_total",
@@ -214,10 +208,6 @@ func (n *Network) collectMetrics(emit telemetry.EmitFunc) {
 			float64(sc.Count))
 	}
 }
-
-// Rand returns the network's random stream, for components that need
-// shared randomness.
-func (n *Network) Rand() *rand.Rand { return n.rng }
 
 func (n *Network) register(name string, node Node) {
 	if _, ok := n.nodes[name]; ok {
@@ -232,18 +222,10 @@ func (n *Network) register(name string, node Node) {
 // automatically; only external node types need this.
 func (n *Network) Register(name string, node Node) { n.register(name, node) }
 
-// CountDrop records a packet destroyed by a custom node, with a
-// free-text human-readable reason. It feeds the Drops map, DropStats
-// (as DropOther), the trace bus, and DropHook. Nodes with a reason the
-// DropReason enum covers should prefer CountDropReason so their drops
-// aggregate by cause.
-func (n *Network) CountDrop(pkt *Packet, reason string) {
-	n.countDrop(n.ctl, pkt, DropOther, "", reason)
-}
-
-// CountDropReason records a packet destroyed by a custom node with a
-// structured reason, location, and optional detail (see
-// DropReason.Format). When node names a registered node, the drop is
+// CountDropReason records a packet destroyed by a custom node at the
+// (reason, node) site. detail is reason-specific context carried only by
+// the trace event: the destination for no-route drops, the filter name
+// for filtered ones. When node names a registered node, the drop is
 // stamped and traced in that node's execution context — which is what
 // keeps custom middleboxes (internal/firewall) correct under sharded
 // execution.
@@ -274,11 +256,10 @@ func (n *Network) NewDevice(name string, cfg DeviceConfig) *Device {
 		cfg.EgressBuffer = DefaultDeviceBuffer
 	}
 	d := &Device{
-		NodeBase:    NodeBase{name: name},
-		Config:      cfg,
-		net:         n,
-		fib:         make(map[string]*Port),
-		FilterDrops: make(map[string]uint64),
+		NodeBase: NodeBase{name: name},
+		Config:   cfg,
+		net:      n,
+		fib:      make(map[string]*Port),
 	}
 	n.register(name, d)
 	return d
@@ -369,54 +350,44 @@ func (n *Network) nextPacketID() uint64 {
 // countDrop is the single drop-accounting sink. sc is the execution
 // context of the code destroying the packet: its clock stamps the trace
 // event and its capture bus receives it, so drops order correctly under
-// sharded execution. The tally maps are cold-path and commutative, so a
-// mutex (not ordering) is all they need.
-//
-//dmzvet:coldpath drops are exceptional events outside the 0 allocs/op steady state; the legacy text key allocates by design
+// sharded execution. The site tally is commutative, so a mutex (not
+// ordering) is all it needs.
 func (n *Network) countDrop(sc *shardCtx, pkt *Packet, reason DropReason, node, detail string) {
-	text := reason.Format(node, detail)
+	site := DropSite{Reason: reason, Node: node}
 	n.dropMu.Lock()
-	n.Drops[text]++
-	n.DropStats[DropSite{Reason: reason, Node: node}]++
+	n.DropStats[site]++
 	if n.DropHook != nil {
-		n.DropHook(pkt, text)
+		n.DropHook(pkt, site)
 	}
 	n.dropMu.Unlock()
 	n.dropped.Add(1)
-	if bus := sc.tracebus(n); bus.Enabled() {
-		kind := telemetry.EvDrop
-		if reason == DropWireLoss {
-			kind = telemetry.EvWireLoss
-		}
-		bus.Emit(telemetry.Event{
-			At:     sc.sched.Now(),
-			Kind:   kind,
-			Node:   node,
-			Flow:   pkt.Flow.String(),
-			Packet: pkt.ID,
-			Bytes:  int64(pkt.Size),
-			Reason: reason.String(),
-			Detail: detail,
-		})
-	}
+	n.emitDrop(sc, pkt, site, detail)
 }
 
-// TotalDrops sums all recorded packet drops.
-// Ledger returns the conservation counters: packets injected by hosts,
-// delivered to transport handlers, destroyed with a counted drop, and
-// currently in transit (on wires, inside middleboxes, or parked in
-// cross-shard rings awaiting a barrier drain). The cross-shard
-// equivalence suite compares ledgers across shard counts.
-func (n *Network) Ledger() (injected, delivered, dropped, transit uint64) {
-	return n.injected.Load(), n.delivered.Load(), n.dropped.Load(), n.transit.Load()
-}
-
-func (n *Network) TotalDrops() uint64 {
-	var total uint64
-	for _, c := range n.Drops {
-		total += c
+// emitDrop publishes the drop's trace event when a bus listens; the
+// Enabled() guard returns before any formatting in the untraced steady
+// state.
+//
+//dmzvet:coldpath emission is guarded by bus.Enabled(); steady state returns before allocating
+func (n *Network) emitDrop(sc *shardCtx, pkt *Packet, site DropSite, detail string) {
+	bus := sc.tracebus(n)
+	if !bus.Enabled() {
+		return
 	}
-	return total
+	kind := telemetry.EvDrop
+	if site.Reason == DropWireLoss {
+		kind = telemetry.EvWireLoss
+	}
+	bus.Emit(telemetry.Event{
+		At:     sc.sched.Now(),
+		Kind:   kind,
+		Node:   site.Node,
+		Flow:   pkt.Flow.String(),
+		Packet: pkt.ID,
+		Bytes:  int64(pkt.Size),
+		Reason: site.Reason.String(),
+		Detail: detail,
+	})
 }
 
 // DropSiteCount is one (reason, node) site's drop tally.
@@ -439,23 +410,6 @@ func (n *Network) DropSites() []DropSiteCount {
 		}
 		return out[i].Site.Node < out[j].Site.Node
 	})
-	return out
-}
-
-// DropCount is one legacy free-text drop tally.
-type DropCount struct {
-	Text  string
-	Count uint64
-}
-
-// DropList returns the legacy free-text drop tallies sorted by
-// description, for deterministic rendering of the Drops map.
-func (n *Network) DropList() []DropCount {
-	out := make([]DropCount, 0, len(n.Drops))
-	for text, c := range n.Drops {
-		out = append(out, DropCount{text, c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Text < out[j].Text })
 	return out
 }
 

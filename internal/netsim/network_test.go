@@ -81,8 +81,8 @@ func TestQueueOverflowDrops(t *testing.T) {
 	if drops != 7 {
 		t.Errorf("queue drops = %d, want 7", drops)
 	}
-	if n.TotalDrops() != 7 {
-		t.Errorf("network drops = %d, want 7", n.TotalDrops())
+	if got := n.Conservation().Dropped; got != 7 {
+		t.Errorf("network drops = %d, want 7", got)
 	}
 }
 
@@ -103,8 +103,8 @@ func TestWireLossInvisibleToPortCounters(t *testing.T) {
 	if got != 80 {
 		t.Errorf("delivered %d, want 80", got)
 	}
-	if l.WireDrops != 20 {
-		t.Errorf("wire drops = %d, want 20", l.WireDrops)
+	if l.WireDrops() != 20 {
+		t.Errorf("wire drops = %d, want 20", l.WireDrops())
 	}
 	ap, bp := a.Ports()[0], b.Ports()[0]
 	if ap.Counters.QueueDrops != 0 || bp.Counters.QueueDrops != 0 {
@@ -186,8 +186,8 @@ func TestNoRouteDrop(t *testing.T) {
 	// Deliberately no ComputeRoutes.
 	a.Send(pkt("a", "b", 100))
 	n.Run()
-	if n.TotalDrops() != 1 {
-		t.Errorf("drops = %d, want 1", n.TotalDrops())
+	if got := n.Conservation().Dropped; got != 1 {
+		t.Errorf("drops = %d, want 1", got)
 	}
 	if n.Path("a", "nonexistent") != nil {
 		t.Error("Path to unknown node should be nil")
@@ -200,8 +200,8 @@ func TestHostDemuxNoHandler(t *testing.T) {
 	p.Flow.DstPort = 12345 // nothing bound
 	a.Send(p)
 	n.Run()
-	if b.Dropped != 1 {
-		t.Errorf("host dropped = %d, want 1", b.Dropped)
+	if got := n.DropStats[DropSite{Reason: DropNoHandler, Node: b.Name()}]; got != 1 {
+		t.Errorf("host dropped = %d, want 1", got)
 	}
 }
 
@@ -313,8 +313,8 @@ func TestFilterDropsAndRewrite(t *testing.T) {
 	if got[0].WScale != NoWScale {
 		t.Error("filter rewrite not applied")
 	}
-	if r.FilterDrops["test-acl"] != 1 {
-		t.Errorf("filter drops = %v, want 1", r.FilterDrops)
+	if got := n.DropStats[DropSite{Reason: DropFiltered, Node: r.Name()}]; got != 1 {
+		t.Errorf("filter drops = %d, want 1", got)
 	}
 }
 
@@ -439,20 +439,39 @@ func TestMaxHopsLoopProtection(t *testing.T) {
 	p := pkt("a", "ghost", 100)
 	a.Send(p)
 	n.Run()
-	if n.Drops["max hops exceeded at r1"]+n.Drops["max hops exceeded at r2"] != 1 {
-		t.Errorf("loop not caught: drops=%v", n.Drops)
+	if n.DropStats[DropSite{Reason: DropMaxHops, Node: "r1"}]+n.DropStats[DropSite{Reason: DropMaxHops, Node: "r2"}] != 1 {
+		t.Errorf("loop not caught: drops=%v", n.DropSites())
 	}
 }
 
 func TestDropHook(t *testing.T) {
 	n := New(1)
 	a := n.NewHost("a")
-	var reasons []string
-	n.DropHook = func(_ *Packet, reason string) { reasons = append(reasons, reason) }
+	var sites []DropSite
+	n.DropHook = func(_ *Packet, site DropSite) { sites = append(sites, site) }
 	a.Send(pkt("a", "nowhere", 100))
 	n.Run()
-	if len(reasons) != 1 {
-		t.Fatalf("hook calls = %d, want 1", len(reasons))
+	if len(sites) != 1 {
+		t.Fatalf("hook calls = %d, want 1", len(sites))
+	}
+	if want := (DropSite{Reason: DropNoLocalRoute, Node: "a"}); sites[0] != want {
+		t.Errorf("hook site = %v, want %v", sites[0], want)
+	}
+}
+
+// TestCountedDropAllocationFree pins the untraced drop path at zero
+// allocations once its site has been seen: a drop is tallied under its
+// structured site, never under a rendered string.
+func TestCountedDropAllocationFree(t *testing.T) {
+	n := New(1)
+	a := n.NewHost("a")
+	p := pkt("a", "nowhere", 100)
+	a.Send(p) // the site's first drop inserts its tally entry
+	if allocs := testing.AllocsPerRun(100, func() { a.Send(p) }); allocs != 0 {
+		t.Errorf("counted drop allocates %.1f times per packet, want 0", allocs)
+	}
+	if got := n.DropStats[DropSite{Reason: DropNoLocalRoute, Node: "a"}]; got != n.Conservation().Dropped {
+		t.Errorf("site tally %d != ledger dropped %d", got, n.Conservation().Dropped)
 	}
 }
 

@@ -24,7 +24,7 @@ const (
 type TapFunc func(p *Packet, d Dir)
 
 // PortCounters are the SNMP-style statistics a device exposes for a port.
-// WireDrops caused by LossModels deliberately do NOT appear here: the
+// Wire drops caused by LossModels deliberately do NOT appear here: the
 // paper's point is that such soft failures are invisible to device error
 // monitoring and only detectable by end-to-end active measurement.
 // The //dmzvet:ledger tags below pair each packet counter with its byte
@@ -290,11 +290,6 @@ type Link struct {
 	Loss  LossModel
 	MTU   int
 
-	// WireDrops counts packets corrupted in transit by the loss model.
-	// This counter exists for experiment bookkeeping only — it is the
-	// ground truth that device SNMP counters (PortCounters) do not see.
-	WireDrops uint64
-
 	// down marks a hard failure (fiber cut, pulled optic). Unlike soft
 	// failures, hard failures ARE visible to device monitoring: both
 	// ends report loss of link via Down().
@@ -320,6 +315,15 @@ func (l *Link) SetDown(down bool) { l.down = down }
 // Down reports link status — the signal an SNMP poller sees immediately.
 func (l *Link) Down() bool { return l.down }
 
+// WireDrops returns the packets the loss model corrupted on this link:
+// the {DropWireLoss, "a<->b"} site of Network.DropStats, which parallel
+// links between the same two nodes would share. It is experiment
+// bookkeeping only — the ground truth that device SNMP counters
+// (PortCounters) do not see.
+func (l *Link) WireDrops() uint64 {
+	return l.net.DropStats[DropSite{Reason: DropWireLoss, Node: l.describe()}]
+}
+
 // Ends returns the names of the nodes at the link's two ends, in the
 // A, B order they were passed to Connect. Fault injection and loss
 // localization use it to name links without reaching into ports.
@@ -343,7 +347,6 @@ func (l *Link) carry(from *Port, pkt *Packet) {
 			rng = l.net.rng
 		}
 		if l.Loss.Drop(sc.sched.Now(), rng, pkt) {
-			l.WireDrops++
 			l.net.countDrop(sc, pkt, DropWireLoss, l.describe(), "")
 			return
 		}

@@ -143,10 +143,12 @@ func (n *Network) ApplyShards(shards []ShardDef, cuts []CutDef, controlBus *tele
 		}
 	}
 
-	n.engineMode = true
 	if controlBus != nil {
 		n.ctl.bus = controlBus
 	}
+	// Timers armed so far stay on the control scheduler while their
+	// owners move to shards, whose workers may cancel them concurrently.
+	n.Sched.SetShared()
 	for i := range shards {
 		sd := &shards[i]
 		sc := &shardCtx{sched: sd.Sched, bus: sd.Bus, rank: sd.Rank}
@@ -255,9 +257,6 @@ func (n *Network) ShardSchedulers() []*sim.Scheduler {
 	return out
 }
 
-// EngineMode reports whether ApplyShards has installed a partition.
-func (n *Network) EngineMode() bool { return n.engineMode }
-
 // MarkCut flags the link as a preferred partition boundary. Topology
 // builders (internal/topo) mark the campus/DMZ/WAN boundary links; the
 // planner cuts only marked links when any are marked.
@@ -272,9 +271,6 @@ func (l *Link) CutHint() bool { return l.cutHint }
 // link's two directions would need cross-shard draw ordering — so such
 // links stay inside one shard, trading parallelism for exactness.
 func (l *Link) MarkNoCut() { l.noCut = true }
-
-// NoCut reports whether MarkNoCut was called.
-func (l *Link) NoCut() bool { return l.noCut }
 
 // Cuttable reports whether the planner may cut this link: not vetoed,
 // strictly positive propagation delay (the lookahead source), and a

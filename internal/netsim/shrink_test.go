@@ -76,8 +76,7 @@ func TestAuditQueueCapShrinkMidRun(t *testing.T) {
 	for _, err := range n.AuditInvariants() {
 		t.Errorf("final audit: %v", err)
 	}
-	inj, del, drop, transit := n.Ledger()
-	if inj != del+drop+transit {
-		t.Errorf("ledger does not balance: %d != %d+%d+%d", inj, del, drop, transit)
+	if c := n.Conservation(); !c.Balanced() {
+		t.Errorf("ledger does not balance: %v", c)
 	}
 }

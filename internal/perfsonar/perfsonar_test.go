@@ -81,7 +81,7 @@ func TestOWAMPDetectsSoftFailure(t *testing.T) {
 			t.Error("SNMP-visible drops should be zero for wire loss")
 		}
 	}
-	if bad.WireDrops == 0 {
+	if bad.WireDrops() == 0 {
 		t.Error("wire should have dropped probes")
 	}
 }

@@ -160,7 +160,7 @@ func TestEquivalenceFaultScenario(t *testing.T) {
 type traceRun struct {
 	events  []telemetry.Event
 	metrics string
-	ledger  [4]uint64
+	ledger  netsim.Conservation
 	result  string
 }
 
@@ -185,8 +185,7 @@ func captureRun(t *testing.T, shards int) traceRun {
 		for _, err := range d.Net.AuditInvariants() {
 			t.Errorf("shards=%d: audit: %v", shards, err)
 		}
-		inj, del, drop, transit := d.Net.Ledger()
-		out.ledger = [4]uint64{inj, del, drop, transit}
+		out.ledger = d.Net.Conservation()
 		snap := tele.Registry.Snapshot(d.Net.Sched.Now())
 		for _, s := range snap.Samples {
 			// Partition-dependent diagnostics are excluded from golden
@@ -241,9 +240,8 @@ func TestEquivalenceTraceGolden(t *testing.T) {
 			t.Errorf("transfer result diverges: shards=1 %q, shards=%d %q", ref.result, n, run.result)
 		}
 	}
-	if ref.ledger[0] != ref.ledger[1]+ref.ledger[2]+ref.ledger[3] {
-		t.Errorf("ledger does not balance: injected %d != delivered %d + dropped %d + transit %d",
-			ref.ledger[0], ref.ledger[1], ref.ledger[2], ref.ledger[3])
+	if !ref.ledger.Balanced() {
+		t.Errorf("ledger does not balance: %v", ref.ledger)
 	}
 }
 
@@ -252,4 +250,46 @@ func longerOf(a, b []telemetry.Event) []telemetry.Event {
 		return a
 	}
 	return b
+}
+
+// TestEquivalenceLossyCutDrops drives wire loss on both directions of
+// the cut WAN links at once, so each direction's drops are counted from
+// its own shard's goroutine. Per-link wire-loss tallies and every drop
+// site must agree at every shard count, and the links' tallies must sum
+// to the network's wire-loss total.
+func TestEquivalenceLossyCutDrops(t *testing.T) {
+	wire := make(map[int]string)
+	sites := make(map[int]string)
+	for _, n := range equivalenceCounts {
+		withPlan(n, func() {
+			d := topo.NewSimpleDMZ(7, topo.SimpleDMZConfig{
+				WAN: topo.WANConfig{Loss: netsim.RandomLoss{P: 0.01}},
+			})
+			ftp := dtn.GridFTP{Streams: 4}
+			ftp.Start(d.RemoteDTN, d.DTN, units.GB, nil)
+			ftp.Start(d.DTN, d.RemoteDTN, units.GB, nil)
+			d.Net.RunFor(3 * time.Second)
+
+			for _, err := range d.Net.AuditInvariants() {
+				t.Errorf("shards=%d: audit: %v", n, err)
+			}
+			var linkSum, siteSum uint64
+			for _, l := range d.Net.Links() {
+				linkSum += l.WireDrops()
+				a, b := l.Ends()
+				wire[n] += fmt.Sprintf("%s<->%s %d\n", a, b, l.WireDrops())
+			}
+			for _, sc := range d.Net.DropSites() {
+				if sc.Site.Reason == netsim.DropWireLoss {
+					siteSum += sc.Count
+				}
+				sites[n] += fmt.Sprintf("%v %d\n", sc.Site, sc.Count)
+			}
+			if linkSum == 0 || linkSum != siteSum {
+				t.Errorf("shards=%d: links' wire drops sum to %d, wire-loss sites to %d", n, linkSum, siteSum)
+			}
+		})
+	}
+	requireAllEqual(t, "per-link wire drops", wire)
+	requireAllEqual(t, "drop sites", sites)
 }

@@ -107,10 +107,8 @@ func runPropertyTrial(t *testing.T, tr propTrial) string {
 	for _, err := range n.AuditInvariants() {
 		t.Errorf("seed %d shards %d: audit: %v", tr.seed, tr.shards, err)
 	}
-	inj, del, drop, transit := n.Ledger()
-	if inj != del+drop+transit {
-		t.Errorf("seed %d shards %d: ledger does not balance: %d != %d+%d+%d",
-			tr.seed, tr.shards, inj, del, drop, transit)
+	if c := n.Conservation(); !c.Balanced() {
+		t.Errorf("seed %d shards %d: ledger does not balance: %v", tr.seed, tr.shards, c)
 	}
 
 	names := make([]int, len(hosts))

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -126,6 +127,12 @@ type Scheduler struct {
 	slots     []timerSlot
 	freeSlots []uint32
 	cancelled int
+
+	// shared marks a scheduler whose timers other goroutines may Stop
+	// while it is idle (see SetShared); cancelMu serializes their
+	// bookkeeping.
+	shared   bool
+	cancelMu sync.Mutex
 
 	stopped bool
 
@@ -293,11 +300,28 @@ func (t Timer) Stop() bool {
 	if !t.Pending() {
 		return false
 	}
-	t.s.slots[t.slot].state = slotCancelled
-	t.s.cancelled++
-	t.s.maybeCompact()
+	s := t.s
+	s.slots[t.slot].state = slotCancelled
+	if s.shared {
+		s.cancelMu.Lock()
+		s.cancelled++
+		s.cancelMu.Unlock()
+		return true
+	}
+	s.cancelled++
+	s.maybeCompact()
 	return true
 }
+
+// SetShared declares that goroutines other than the owner may Stop the
+// scheduler's timers, one goroutine per timer, while the owner is idle:
+// the sharded engine's control scheduler keeps every timer armed before
+// the engine installed, and shard workers cancel them concurrently (a
+// TCP sender's handshake timer, on SYN-ACK). Stop then serializes its
+// counter update and leaves the cancelled entries to be discarded when
+// they reach the top of the heap, instead of compacting the heap from a
+// foreign goroutine.
+func (s *Scheduler) SetShared() { s.shared = true }
 
 // Pending reports whether the timer is still scheduled to fire.
 func (t Timer) Pending() bool {

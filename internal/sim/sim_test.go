@@ -3,6 +3,7 @@ package sim
 import (
 	"math/rand"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -109,6 +110,37 @@ func TestTimerStopAfterFire(t *testing.T) {
 	}
 	if tm.Stop() {
 		t.Error("Stop after fire should report false")
+	}
+}
+
+// TestSharedSchedulerConcurrentStop: on a shared scheduler, several
+// goroutines may stop its timers at once while it is idle; none of the
+// stopped timers fires and the live count stays exact.
+func TestSharedSchedulerConcurrentStop(t *testing.T) {
+	s := New()
+	s.SetShared()
+	fired := 0
+	timers := make([]Timer, 64)
+	for i := range timers {
+		timers[i] = s.After(time.Duration(i+1)*time.Millisecond, func() { fired++ })
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := w; i < len(timers); i += 8 {
+				timers[i].Stop()
+			}
+		}()
+	}
+	wg.Wait()
+	if got := s.Pending(); got != len(timers)/2 {
+		t.Errorf("pending = %d, want %d", got, len(timers)/2)
+	}
+	s.Run()
+	if fired != len(timers)/2 {
+		t.Errorf("fired = %d, want %d", fired, len(timers)/2)
 	}
 }
 

@@ -129,29 +129,25 @@ func TestDropEventsCarryStructuredReason(t *testing.T) {
 	if len(drops) == 0 {
 		t.Fatal("overloaded path produced no drop events")
 	}
-	sawOverflow := false
+	var overflows uint64
 	for _, ev := range drops {
 		if ev.Reason == "" {
 			t.Fatalf("drop event missing structured reason: %+v", ev)
 		}
 		if ev.Reason == netsim.DropQueueOverflow.String() {
-			sawOverflow = true
+			overflows++
 			if ev.Node == "" {
 				t.Errorf("queue-overflow drop missing node: %+v", ev)
 			}
 		}
 	}
-	if !sawOverflow {
+	if overflows == 0 {
 		t.Error("no queue-overflow drops recorded")
 	}
-	// The structured stats must agree with the legacy string map.
-	var structured uint64
-	for site, cnt := range n.DropStats {
-		if site.Reason == netsim.DropQueueOverflow {
-			structured += cnt
-		}
-	}
-	if structured == 0 || n.Drops["queue overflow at r1"] != structured {
-		t.Errorf("DropStats overflow=%d, Drops[legacy]=%d", structured, n.Drops["queue overflow at r1"])
+	// The structured stats must agree with the traced events: every
+	// overflow happened at r1.
+	site := netsim.DropSite{Reason: netsim.DropQueueOverflow, Node: "r1"}
+	if got := n.DropStats[site]; got != overflows {
+		t.Errorf("DropStats[%v]=%d, traced overflows=%d", site, got, overflows)
 	}
 }
