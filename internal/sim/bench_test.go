@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// The scheduler benchmarks isolate the three hot shapes the network
+// The scheduler benchmarks isolate the hot shapes the network
 // simulator drives the kernel with (run with -benchmem; CI smoke-runs
 // them and EXPERIMENTS.md records the trajectory):
 //
@@ -14,6 +14,8 @@ import (
 //     the TCP retransmit-timer pattern (the dominant Timer.Stop source).
 //   - Drain: bulk RunUntil drain of a pre-filled queue.
 //   - Ticker: periodic callbacks, the telemetry-sampler pattern.
+//   - DeepQueue: schedule->fire plus an RTO reset at the queue depth of
+//     a lossy long-fat-path transfer, the event kernel's bottom rung.
 
 // BenchmarkSchedulerScheduleFire measures one schedule plus one
 // (amortized) fire per op, with the queue kept around 1k events.
@@ -79,5 +81,31 @@ func BenchmarkSchedulerTicker(b *testing.B) {
 	tk.Stop()
 	if ticks != b.N {
 		b.Fatalf("ticks = %d, want %d", ticks, b.N)
+	}
+}
+
+// BenchmarkSchedulerDeepQueue measures one schedule, one fire and one
+// RTO-style Timer.Stop plus re-arm per op with ~4096 events pending —
+// the depth of a multi-stream transfer on a long, fat path, whose every
+// in-flight segment is a queued event. ScheduleFire fills to 1024 and
+// drains to empty, so it averages only ~512 deep.
+func BenchmarkSchedulerDeepQueue(b *testing.B) {
+	s := New()
+	fn := func() {}
+	for i := 0; i < 4096; i++ {
+		s.After(time.Duration(i%997+1)*time.Microsecond, fn)
+	}
+	rto := s.After(time.Second, fn)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.After(time.Duration(i%997+1)*time.Microsecond, fn)
+		s.step()
+		rto.Stop()
+		rto = s.After(time.Second, fn)
+	}
+	b.StopTimer()
+	if got := s.Pending(); got != 4097 {
+		b.Fatalf("Pending = %d, want 4097", got)
 	}
 }

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // refEvent is the sort-based reference model's view of one live event:
@@ -22,10 +24,19 @@ type refEvent struct {
 // fired order against a plain sort of the surviving events. Times are
 // drawn from a deliberately small range so ties (broken by seq) are
 // common, and the table includes degenerate (0, 1) and large (10k) sizes
-// to cross the compaction threshold.
+// to cross the compaction threshold, plus cancel-everything cases in
+// which the last compaction finds no live entry at all.
 func TestHeapMatchesReferenceModel(t *testing.T) {
-	sizes := []int{0, 1, 2, 3, 7, 64, 1000, 10000}
-	for _, n := range sizes {
+	cases := []struct {
+		n         int
+		cancelAll bool // cancel every event and reschedule none
+	}{
+		{0, false}, {1, false}, {2, false}, {3, false}, {7, false},
+		{64, false}, {1000, false}, {10000, false},
+		{1024, true}, {2048, true},
+	}
+	for _, tc := range cases {
+		n := tc.n
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed*1000 + int64(n)))
 			s := New()
@@ -55,14 +66,18 @@ func TestHeapMatchesReferenceModel(t *testing.T) {
 			// Churn: cancel ~half the events in random order; half of the
 			// cancellations immediately reschedule a replacement (fresh
 			// event, new time, new seq) — the RTO-reset pattern.
-			for i := 0; i < n/2 && len(lives) > 0; i++ {
+			cancels := n / 2
+			if tc.cancelAll {
+				cancels = n
+			}
+			for i := 0; i < cancels && len(lives) > 0; i++ {
 				j := rng.Intn(len(lives))
 				if !lives[j].tm.Stop() {
 					t.Fatalf("n=%d seed=%d: Stop on live timer reported false", n, seed)
 				}
 				lives[j] = lives[len(lives)-1]
 				lives = lives[:len(lives)-1]
-				if rng.Intn(2) == 0 {
+				if !tc.cancelAll && rng.Intn(2) == 0 {
 					scheduleOne()
 				}
 			}
@@ -98,6 +113,31 @@ func TestHeapMatchesReferenceModel(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEventIsPointerFree pins the heap entry layout: an event is a
+// 24-byte ordering key with no field the GC must scan, so a heap move is
+// a small, write-barrier-free copy. The callback lives in the timer slot.
+func TestEventIsPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size > 24 {
+		t.Errorf("event is %d bytes, want at most 24", size)
+	}
+	var walk func(path string, typ reflect.Type)
+	walk = func(path string, typ reflect.Type) {
+		switch typ.Kind() {
+		case reflect.Func, reflect.Interface, reflect.Pointer, reflect.UnsafePointer,
+			reflect.Slice, reflect.Map, reflect.Chan, reflect.String:
+			t.Errorf("%s has kind %s, which holds a pointer", path, typ.Kind())
+		case reflect.Array:
+			walk(path+"[]", typ.Elem())
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				f := typ.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		}
+	}
+	walk("event", reflect.TypeOf(event{}))
 }
 
 // TestHeapMidRunCancellation checks that an event firing at time t can

@@ -11,11 +11,12 @@
 //
 // The kernel is built for allocation-free steady-state operation (see
 // DESIGN.md, "Event kernel performance model"): the pending queue is a
-// hand-rolled 4-ary min-heap of inline event structs (no per-event
-// pointer, no interface boxing), timer cancellation is lazy
-// (generation-checked skip at pop instead of O(log n) removal), and
-// timer identity lives in a free-listed slot table so a Timer is a
-// plain {scheduler, slot, generation} value.
+// hand-rolled 4-ary min-heap of 24-byte, pointer-free ordering keys (no
+// per-event allocation, no interface boxing), each naming a slot in a
+// free-listed table that holds the event's callback and gives timers
+// their identity, so a Timer is a plain {scheduler, slot, generation}
+// value. Timer cancellation is lazy (a slot-state check at pop instead
+// of O(log n) removal).
 package sim
 
 import (
@@ -56,19 +57,14 @@ func (t Time) String() string { return time.Duration(t).String() }
 // plus two pointer operands never escape.
 type CallFunc func(a, b any)
 
-// event is one pending queue entry, stored inline in the heap slice.
-// Exactly one of fn/call is non-nil. slot/gen tie the event to its
-// timer slot so lazily cancelled events are recognized at pop.
+// event is one pending queue entry, stored inline in the heap slice:
+// only the ordering key and the timer slot that holds the callback, so
+// a heap move copies 24 pointer-free bytes.
 type event struct {
 	at   Time
 	seq  uint64 // scheduling order within a lane; breaks ties deterministically
-	fn   func()
-	call CallFunc
-	a, b any
-	slot uint32
-	gen  uint32
 	lane uint32 // 0 = local events (seq = scheduling order); >0 = cross-shard delivery lanes
-	tag  Tag    // component attribution; 0 = untagged
+	slot uint32
 }
 
 // less orders events by (time, lane, seq) — the kernel's total order.
@@ -99,14 +95,19 @@ const (
 	slotCancelled
 )
 
-// timerSlot is the stable identity of one scheduled event. The heap
-// entry for the event carries (slot index, generation); the generation
-// increments every time the slot is recycled, so stale Timer handles —
-// and lazily cancelled heap entries — are detected by comparison.
+// timerSlot is the stable identity and payload of one scheduled event.
+// A slot belongs to exactly one heap entry from schedule until that
+// entry is popped, skimmed or compacted away; then freeSlot recycles it
+// and increments its generation, so stale Timer handles are detected
+// by comparison. Exactly one of fn/call is non-nil while it is in use.
 type timerSlot struct {
+	at    Time // fire time, for Timer.When
+	fn    func()
+	call  CallFunc
+	a, b  any
 	gen   uint32
 	state uint8
-	at    Time // fire time, for Timer.When
+	tag   Tag // component attribution; 0 = untagged
 }
 
 // Scheduler owns the simulation clock and the pending event queue.
@@ -115,9 +116,9 @@ type Scheduler struct {
 	now Time
 	seq uint64
 
-	// events is a 4-ary min-heap of inline event structs. 4-ary rather
+	// events is a 4-ary min-heap of inline event keys. 4-ary rather
 	// than binary: sift-down does 3/4 fewer levels of (cache-missing)
-	// parent/child hops for this event mix, and the inline structs make
+	// parent/child hops for this event mix, and the inline keys make
 	// each level one contiguous 4-entry scan. See DESIGN.md.
 	events []event
 
@@ -177,11 +178,11 @@ type Timer struct {
 	gen  uint32
 }
 
-// allocSlot takes a slot from the free-list (or grows the table) and
-// marks it pending for an event firing at t.
+// enqueue takes a slot from the free-list (or grows the table), stores
+// the event's callback there, and pushes its key onto the heap.
 //
 //dmz:hotpath
-func (s *Scheduler) allocSlot(at Time) uint32 {
+func (s *Scheduler) enqueue(tag Tag, lane uint32, seq uint64, t Time, fn func(), call CallFunc, a, b any) Timer {
 	var idx uint32
 	if n := len(s.freeSlots); n > 0 {
 		idx = s.freeSlots[n-1]
@@ -191,19 +192,22 @@ func (s *Scheduler) allocSlot(at Time) uint32 {
 		idx = uint32(len(s.slots) - 1)
 	}
 	sl := &s.slots[idx]
-	sl.state = slotPending
-	sl.at = at
-	return idx
+	sl.at, sl.fn, sl.call, sl.a, sl.b = t, fn, call, a, b
+	sl.state, sl.tag = slotPending, tag
+	s.push(event{at: t, seq: seq, lane: lane, slot: idx})
+	return Timer{s: s, slot: idx, gen: sl.gen}
 }
 
 // freeSlot recycles a slot whose heap entry has been popped or
-// compacted away, invalidating all outstanding handles to it.
+// compacted away, invalidating all outstanding handles to it and
+// dropping its callback references for the GC.
 //
 //dmz:hotpath
 func (s *Scheduler) freeSlot(idx uint32) {
 	sl := &s.slots[idx]
 	sl.gen++
 	sl.state = slotFree
+	sl.fn, sl.call, sl.a, sl.b = nil, nil, nil, nil
 	s.freeSlots = append(s.freeSlots, idx)
 }
 
@@ -215,13 +219,7 @@ func (s *Scheduler) schedule(tag Tag, t Time, fn func(), call CallFunc, a, b any
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	s.seq++
-	slot := s.allocSlot(t)
-	s.push(event{
-		at: t, seq: s.seq,
-		fn: fn, call: call, a: a, b: b,
-		slot: slot, gen: s.slots[slot].gen, tag: tag,
-	})
-	return Timer{s: s, slot: slot, gen: s.slots[slot].gen}
+	return s.enqueue(tag, 0, s.seq, t, fn, call, a, b)
 }
 
 // AtCallLane schedules a closure-free event on a nonzero ordering lane:
@@ -243,13 +241,7 @@ func (s *Scheduler) AtCallLane(tag Tag, lane uint32, laneSeq uint64, t Time, cal
 	if t < s.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
-	slot := s.allocSlot(t)
-	s.push(event{
-		at: t, seq: laneSeq, lane: lane,
-		call: call, a: a, b: b,
-		slot: slot, gen: s.slots[slot].gen, tag: tag,
-	})
-	return Timer{s: s, slot: slot, gen: s.slots[slot].gen}
+	return s.enqueue(tag, lane, laneSeq, t, nil, call, a, b)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (t
@@ -368,7 +360,6 @@ func (s *Scheduler) popTop() event {
 	top := s.events[0]
 	n := len(s.events) - 1
 	last := s.events[n]
-	s.events[n] = event{} // drop fn/operand references for the GC
 	s.events = s.events[:n]
 	if n > 0 {
 		s.siftDown(0, last)
@@ -443,11 +434,11 @@ func (s *Scheduler) maybeCompact() {
 		s.events[w] = s.events[r]
 		w++
 	}
-	for i := w; i < len(s.events); i++ {
-		s.events[i] = event{}
-	}
 	s.events = s.events[:w]
 	s.cancelled = 0
+	if w < 2 {
+		return
+	}
 	for i := (w - 2) / 4; i >= 0; i-- {
 		s.siftDown(i, s.events[i])
 	}
@@ -465,17 +456,19 @@ func (s *Scheduler) step() bool {
 		return false
 	}
 	e := s.popTop()
+	sl := &s.slots[e.slot]
+	fn, call, a, b := sl.fn, sl.call, sl.a, sl.b
+	s.tagCounts[sl.tag]++
 	s.freeSlot(e.slot) // handles go stale before the callback runs
 	if e.at < s.now {
 		s.ClockRegressions++
 	}
 	s.now = e.at
 	s.Processed++
-	s.tagCounts[e.tag]++
-	if e.call != nil {
-		e.call(e.a, e.b)
+	if call != nil {
+		call(a, b)
 	} else {
-		e.fn()
+		fn()
 	}
 	return true
 }

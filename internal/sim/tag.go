@@ -8,8 +8,8 @@ import (
 // Tag is an interned component handle for scheduler attribution.
 // Components intern their name once at package init with TagFor and
 // schedule through the *Tag variants; attribution then costs a single
-// array increment per executed event, and the event struct stays one
-// machine word smaller than it would with a string tag.
+// array increment per executed event, and the tag fits in the timer
+// slot's padding instead of adding the two machine words of a string.
 type Tag uint8
 
 // maxTags bounds the interning table; Tag 0 is reserved for untagged.
