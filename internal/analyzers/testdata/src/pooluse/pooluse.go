@@ -96,9 +96,9 @@ func reassigned(n *Network) {
 }
 
 // Cross-shard rings park in-flight packets between barrier drains; the
-// parked packets stay on the conservation ledger (the transit counter
-// covers ring residency), so ring types are audited holders. An
-// unmarked ring is a leak the audit cannot see.
+// parked packets stay on the conservation ledger (it counts each ring's
+// length), so ring types are audited holders. An unmarked ring is a
+// leak the audit cannot see.
 
 type ringEntry struct{ pkt *Packet }
 

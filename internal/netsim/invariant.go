@@ -53,9 +53,12 @@ func (c Conservation) String() string {
 }
 
 // Conservation computes the current packet balance. InFlight is counted
-// structurally — port queues, packets being serialized, packets inside
-// propagation/forwarding closures, and PacketHolder nodes — not derived
-// from the other three counters, so imbalance detects real leaks.
+// structurally — port queues, packets being serialized, packets on a
+// wire (each port's arrivals line) or parked in a cross-shard ring,
+// packets inside device forwarding closures, and PacketHolder nodes —
+// not derived from the other counters, so imbalance detects real leaks.
+// Under sharded execution, call it only while the shards are parked: at
+// rest, or from a control event.
 func (n *Network) Conservation() Conservation {
 	c := Conservation{
 		Injected:   n.injected.Load(),
@@ -67,9 +70,12 @@ func (n *Network) Conservation() Conservation {
 	}
 	for _, node := range n.nodes {
 		for _, p := range node.Ports() {
-			c.InFlight += uint64(len(p.queue) + len(p.prioQueue))
+			c.InFlight += uint64(len(p.queue) + len(p.prioQueue) + p.arrivals.Len())
 			if p.transmitting {
 				c.InFlight++
+			}
+			if p.xq != nil {
+				c.InFlight += uint64(p.xq.Len())
 			}
 		}
 		if d, ok := node.(*Device); ok {

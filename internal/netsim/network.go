@@ -74,11 +74,12 @@ type Network struct {
 	// Conservation accounting (see invariant.go). Every packet enters the
 	// network exactly once through Host.Send and leaves exactly once:
 	// delivered to a transport handler or destroyed through countDrop.
-	// transit counts packets captured inside scheduled closures (wire
-	// propagation, forwarding latency, degraded store-and-forward
-	// service) and cross-shard ring queues, where no queue length can see
-	// them. Atomics: the increments are commutative sums, so concurrent
-	// shards keep the ledger exact without ordering.
+	// transit counts packets captured inside a device's scheduled
+	// closures (forwarding latency, degraded store-and-forward service),
+	// where no queue length can see them; packets on a wire or parked in
+	// a cross-shard ring are counted by length instead. Atomics: the
+	// increments are commutative sums, so concurrent shards keep the
+	// ledger exact without ordering.
 	injected  atomic.Uint64
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
@@ -313,6 +314,8 @@ func (n *Network) Connect(a, b Node, cfg LinkConfig) *Link {
 	pa := &Port{Owner: a, Link: l, QueueCap: n.defaultQueue(a, cfg.Rate, cfg.QueueA), net: n, ctx: n.sctx(a)}
 	pb := &Port{Owner: b, Link: l, QueueCap: n.defaultQueue(b, cfg.Rate, cfg.QueueB), net: n, ctx: n.sctx(b)}
 	pa.peer, pb.peer = pb, pa
+	pa.arrivals = pa.ctx.sched.NewLine(tagLink, 0, deliverCall, pa)
+	pb.arrivals = pb.ctx.sched.NewLine(tagLink, 0, deliverCall, pb)
 	l.A, l.B = pa, pb
 	l.desc = a.Name() + "<->" + b.Name()
 	a.attach(pa)

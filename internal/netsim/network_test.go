@@ -519,3 +519,26 @@ func TestBusyTimeAccounting(t *testing.T) {
 		t.Errorf("busy = %v, want 60us", got)
 	}
 }
+
+// TestSetDownSparesPacketsOnTheWire pins what a hard link failure
+// destroys: a packet already propagating when the link goes down still
+// arrives, and the next packet to finish serializing onto the down link
+// is dropped as DropLinkDown.
+func TestSetDownSparesPacketsOnTheWire(t *testing.T) {
+	n, a, _, got := twoHosts(t, LinkConfig{Rate: 10 * units.Gbps, Delay: 25 * time.Millisecond})
+	l := n.Links()[0]
+	a.Send(pkt("a", "b", 1500))
+	n.RunFor(10 * time.Millisecond) // the first packet is 10 ms into the wire
+	l.SetDown(true)
+	a.Send(pkt("a", "b", 1500))
+	n.Run()
+	if len(*got) != 1 {
+		t.Fatalf("delivered %d packets, want the one already on the wire", len(*got))
+	}
+	if d := n.DropStats[DropSite{Reason: DropLinkDown, Node: "a<->b"}]; d != 1 {
+		t.Errorf("link-down drops = %d, want 1", d)
+	}
+	for _, err := range n.AuditInvariants() {
+		t.Error(err)
+	}
+}

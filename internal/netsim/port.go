@@ -75,12 +75,18 @@ type Port struct {
 	// bus); it aliases the network's control context when unsharded.
 	ctx *shardCtx
 
+	// arrivals is the delay line of packets propagating toward this
+	// port, on its scheduler: the link pushes each one as it leaves the
+	// peer, and the line fires deliverCall when it arrives. Its lane is
+	// the peer's (see below).
+	arrivals *sim.Line
+
 	// Sharded-execution state (see shard.go): on a cut-candidate link
 	// this port orders its transmissions on lane with laneSeq, and — when
 	// the peer lives on another shard — hands them to the xq ring instead
-	// of scheduling locally. lossRNG, when set, replaces the network's
-	// shared stream for wire-loss draws with a per-port stream whose draw
-	// order cannot depend on the shard count.
+	// of pushing them onto the peer's arrivals line. lossRNG, when set,
+	// replaces the network's shared stream for wire-loss draws with a
+	// per-port stream whose draw order cannot depend on the shard count.
 	lane    uint32
 	laneSeq uint64
 	xq      CrossQueue
@@ -191,17 +197,13 @@ func (p *Port) dropForQueue(pkt *Packet) {
 // two per-packet events every forwarded byte pays (serialization done,
 // propagation done). Scheduling through sim.CallFunc with the port and
 // packet as operands keeps the packet hot path closure-free: the kernel
-// stores both pointers inline in the event.
+// stores both pointers inline, in the event's slot or its line entry.
 //
 //dmz:hotpath
 func finishTxCall(a, b any) { a.(*Port).finishTx(b.(*Packet)) }
 
 //dmz:hotpath
-func deliverCall(a, b any) {
-	to := a.(*Port)
-	to.net.transit.Add(^uint64(0))
-	to.deliver(b.(*Packet))
-}
+func deliverCall(a, b any) { a.(*Port).deliver(b.(*Packet)) }
 
 //dmz:hotpath
 func (p *Port) startTx(pkt *Packet) {
@@ -283,6 +285,10 @@ func (p *Port) deliver(pkt *Packet) {
 
 // Link is a full-duplex wire between two ports, with a propagation delay
 // and an optional loss model representing failing hardware in the path.
+//
+// Delay must not change after Connect: each end's arrivals line needs
+// its packets to arrive in the order they were sent, and panics on a
+// push that would arrive before the packet ahead of it.
 type Link struct {
 	A, B  *Port
 	Rate  units.BitRate
@@ -306,10 +312,12 @@ type Link struct {
 	net *Network
 }
 
-// SetDown cuts or restores the link. A down link destroys everything in
-// transit on it; this is the "hard failure" of §3.3 that network
-// management systems catch easily — in contrast to the soft failures
-// only active measurement finds.
+// SetDown cuts or restores the link. While the link is down, every
+// packet that finishes serializing onto it is dropped as DropLinkDown;
+// packets already propagating when it goes down still arrive. This is
+// the "hard failure" of §3.3 that network management systems catch
+// easily — in contrast to the soft failures only active measurement
+// finds.
 func (l *Link) SetDown(down bool) { l.down = down }
 
 // Down reports link status — the signal an SNMP poller sees immediately.
@@ -331,8 +339,9 @@ func (l *Link) Ends() (a, b string) {
 	return l.A.Owner.Name(), l.B.Owner.Name()
 }
 
-// carry moves a fully serialized packet across the wire from one port to
-// its peer, applying corruption loss and propagation delay.
+// carry puts a fully serialized packet on the wire from one port to its
+// peer, applying corruption loss, and queues its arrival one
+// propagation delay from now on the peer's arrivals line.
 //
 //dmz:hotpath
 func (l *Link) carry(from *Port, pkt *Packet) {
@@ -352,22 +361,21 @@ func (l *Link) carry(from *Port, pkt *Packet) {
 		}
 	}
 	to := from.peer
-	l.net.transit.Add(1)
-	if from.lane != 0 {
-		// Cut-candidate link: order the delivery by the link-direction
-		// lane so execution order is shard-count-invariant. When the peer
-		// is on another shard, hand off through the SPSC ring; the engine
-		// schedules the delivery at its barrier drain.
-		from.laneSeq++
-		at := sc.sched.Now().Add(l.Delay)
-		if from.xq != nil {
-			from.xq.Push(to, pkt, at, from.laneSeq)
-			return
-		}
-		to.ctx.sched.AtCallLane(tagLink, from.lane, from.laneSeq, at, deliverCall, to, pkt)
+	at := sc.sched.Now().Add(l.Delay)
+	if from.lane == 0 {
+		to.arrivals.Push(at, pkt)
 		return
 	}
-	sc.sched.AfterCall(tagLink, l.Delay, deliverCall, to, pkt)
+	// Cut-candidate link: order the delivery by the link-direction lane
+	// so execution order is shard-count-invariant. When the peer is on
+	// another shard, hand off through the SPSC ring; the engine pushes
+	// the delivery onto the peer's line at its barrier drain.
+	from.laneSeq++
+	if from.xq != nil {
+		from.xq.Push(to, pkt, at, from.laneSeq)
+		return
+	}
+	to.arrivals.PushLane(from.laneSeq, at, pkt)
 }
 
 func (l *Link) describe() string {

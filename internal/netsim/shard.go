@@ -23,10 +23,10 @@ package netsim
 //   - ApplyShards: installs a partition — reassigns node/port contexts,
 //     arms cut-link ports with cross-shard queues and ordering lanes,
 //     and switches ID/RNG derivation to shard-count-invariant streams.
-//   - ScheduleLaneDelivery: the barrier-drain entry point that turns a
-//     ring entry back into a scheduled kernel event on the destination
-//     shard, keyed by (lane, seq) so execution order is byte-identical
-//     at any shard count.
+//   - ScheduleLaneDelivery: the barrier-drain entry point that pushes a
+//     ring entry onto the destination port's arrivals line, keyed by
+//     (lane, seq) so execution order is byte-identical at any shard
+//     count.
 
 import (
 	"fmt"
@@ -73,9 +73,12 @@ func (n *Network) sctx(node Node) *shardCtx {
 // the receiving shard. internal/shard implements it as an SPSC ring; the
 // producer side is the sending port's serialization path, the consumer
 // side is the engine's barrier drain. Push must not allocate — it is on
-// the cross-shard packet hot path.
+// the cross-shard packet hot path. Len reports the packets parked in
+// the queue, for the conservation ledger; it is called only while the
+// producer is parked.
 type CrossQueue interface {
 	Push(to *Port, pkt *Packet, at sim.Time, seq uint64)
+	Len() int
 }
 
 // ShardDef assigns a set of nodes to one shard scheduler. The engine
@@ -123,7 +126,8 @@ func (e *ErrShardCoverage) Error() string {
 //
 // The node lists must cover the network's nodes exactly once;
 // ErrShardCoverage reports any violation. Call at most once, before the
-// first event runs.
+// first event runs: every port's arrivals line is rebuilt on its new
+// scheduler, so no packet may be on a wire yet.
 func (n *Network) ApplyShards(shards []ShardDef, cuts []CutDef, controlBus *telemetry.Bus) error {
 	seen := make(map[string]bool, len(n.nodes))
 	for _, sd := range shards {
@@ -198,16 +202,24 @@ func (n *Network) ApplyShards(shards []ShardDef, cuts []CutDef, controlBus *tele
 		c.Link.A.lane, c.Link.A.xq = c.LaneAB, c.AtoB
 		c.Link.B.lane, c.Link.B.xq = c.LaneBA, c.BtoA
 	}
+
+	// Each port's arrivals line moves to the port's shard scheduler and
+	// takes the lane its peer sends on (0 on an uncut link).
+	for _, l := range n.links {
+		for _, p := range [2]*Port{l.A, l.B} {
+			p.arrivals = p.ctx.sched.NewLine(tagLink, p.peer.lane, deliverCall, p)
+		}
+	}
 	return nil
 }
 
-// ScheduleLaneDelivery converts a drained cross-shard ring entry back
-// into a kernel event on the destination port's shard: the packet is
-// delivered at its precomputed arrival time, ordered by the cut link's
-// (lane, seq) key. Only the engine's barrier drain calls this, with the
-// destination shard quiesced.
-func (n *Network) ScheduleLaneDelivery(to *Port, pkt *Packet, at sim.Time, lane uint32, seq uint64) {
-	to.ctx.sched.AtCallLane(tagLink, lane, seq, at, deliverCall, to, pkt)
+// ScheduleLaneDelivery pushes a drained cross-shard ring entry onto the
+// destination port's arrivals line: the packet is delivered at its
+// precomputed arrival time, ordered by the cut link's (lane, seq) key.
+// Only the engine's barrier drain calls this, with the destination
+// shard quiesced.
+func (n *Network) ScheduleLaneDelivery(to *Port, pkt *Packet, at sim.Time, seq uint64) {
+	to.arrivals.PushLane(seq, at, pkt)
 }
 
 // Runner replaces the network's run loop. The sharded engine installs

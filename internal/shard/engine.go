@@ -155,8 +155,8 @@ func Install(n *netsim.Network, nshards int) (*Engine, error) {
 			LaneBA: uint32(2*c.Index + 2),
 		}
 		if c.DomA%k != c.DomB%k {
-			ra := NewRing(cd.LaneAB, 0)
-			rb := NewRing(cd.LaneBA, 0)
+			ra := NewRing(0)
+			rb := NewRing(0)
 			cd.AtoB, cd.BtoA = ra, rb
 			e.rings = append(e.rings, ra, rb)
 		}
@@ -306,14 +306,14 @@ func (e *Engine) runShards(t sim.Time) {
 	}
 }
 
-// drain empties every cut ring, scheduling each parked packet on its
-// destination shard keyed by (lane, seq). It reports whether any
-// arrival was due exactly at t (caller must re-run the shards).
+// drain empties every cut ring, pushing each parked packet onto its
+// destination port's arrivals line, keyed by the cut lane and the
+// packet's lane sequence. It reports whether any arrival was due
+// exactly at t (caller must re-run the shards).
 func (e *Engine) drain(t sim.Time) (rerun bool) {
 	for _, r := range e.rings {
-		lane := r.lane
 		r.Drain(func(en ringEntry) {
-			e.net.ScheduleLaneDelivery(en.to, en.pkt, en.at, lane, en.seq)
+			e.net.ScheduleLaneDelivery(en.to, en.pkt, en.at, en.seq)
 			if en.at == t {
 				rerun = true
 			}
@@ -404,8 +404,8 @@ func (e *Engine) flush() {
 // audit contributes the engine's invariants to the network's audit:
 // every shard clock must agree with the control clock at rest (skipped
 // after a Stop, which legitimately parks schedulers mid-window). Ring
-// residency needs no check of its own — parked packets are counted
-// in-flight by the conservation ledger via the transit counter.
+// residency needs no check of its own — the conservation ledger counts
+// parked packets in flight through each ring's Len.
 func (e *Engine) audit() []error {
 	var errs []error
 	if e.sawStop {

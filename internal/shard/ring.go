@@ -34,14 +34,12 @@ type ringEntry struct {
 // stores never ping-pong the consumer's head line (false sharing would
 // serialize exactly the path sharding exists to parallelize).
 //
-// Packets parked here are counted by the conservation ledger: Link.carry
-// increments the network's transit counter before Push, and the counter
-// is only decremented when the drained delivery finally executes — so
-// an audit taken while packets sit in a ring still balances.
+// Packets parked here are counted by the conservation ledger through
+// Len (netsim.CrossQueue), so an audit taken while packets sit in a
+// ring still balances.
 //
 //dmzvet:holder
 type Ring struct {
-	lane uint32
 	buf  []ringEntry
 	mask uint64
 
@@ -57,9 +55,9 @@ type Ring struct {
 	overflow []ringEntry
 }
 
-// NewRing returns an empty ring for the given cut-link lane. capacity
-// is rounded up to a power of two; zero selects defaultRingCap.
-func NewRing(lane uint32, capacity int) *Ring {
+// NewRing returns an empty ring. capacity is rounded up to a power of
+// two; zero selects defaultRingCap.
+func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = defaultRingCap
 	}
@@ -67,7 +65,7 @@ func NewRing(lane uint32, capacity int) *Ring {
 	for c < capacity {
 		c <<= 1
 	}
-	return &Ring{lane: lane, buf: make([]ringEntry, c), mask: uint64(c - 1)}
+	return &Ring{buf: make([]ringEntry, c), mask: uint64(c - 1)}
 }
 
 // Push implements netsim.CrossQueue: enqueue one packet handoff. Called
@@ -106,10 +104,8 @@ func (r *Ring) Drain(fn func(e ringEntry)) {
 	}
 }
 
-// Len reports the number of parked entries. Barrier-only, like Drain.
+// Len implements netsim.CrossQueue: the number of parked entries.
+// Barrier-only, like Drain.
 func (r *Ring) Len() int {
 	return int(r.tail.Load()-r.head.Load()) + len(r.overflow)
 }
-
-// Lane returns the cut-link lane this ring feeds.
-func (r *Ring) Lane() uint32 { return r.lane }

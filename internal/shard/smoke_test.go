@@ -68,3 +68,42 @@ func TestEngineDeliversAcrossCut(t *testing.T) {
 		}
 	}
 }
+
+// TestConservationCountsPacketsOnTheWire audits the ledger while
+// packets propagate on a 25 ms cut link, unsharded and at one and two
+// shards: every packet on the wire — on the receiver's arrivals line or
+// parked in a cross-shard ring — must count as in flight.
+func TestConservationCountsPacketsOnTheWire(t *testing.T) {
+	const sent = 50
+	for _, shards := range []int{0, 1, 2} {
+		n := netsim.NewIsolated(1)
+		a := n.NewHost("a")
+		b := n.NewHost("b")
+		n.Connect(a, b, netsim.LinkConfig{Rate: 10 * units.Gbps, Delay: 25 * time.Millisecond})
+		n.ComputeRoutes()
+		got := 0
+		b.Bind(netsim.ProtoUDP, 9, netsim.HandlerFunc(func(*netsim.Packet) { got++ }))
+		if shards > 0 {
+			if _, err := Install(n, shards); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < sent; i++ {
+			pkt := n.NewPacket()
+			pkt.Flow = netsim.FlowKey{Src: "a", Dst: "b", Proto: netsim.ProtoUDP, DstPort: 9}
+			pkt.Size = 1500
+			a.Send(pkt)
+		}
+		n.RunFor(10 * time.Millisecond) // all serialized, none arrived
+		if c := n.Conservation(); c.InFlight != sent || !c.Balanced() {
+			t.Errorf("shards=%d at 10ms: %v, want %d in flight", shards, c, sent)
+		}
+		n.Run()
+		if c := n.Conservation(); c.InFlight != 0 || !c.Balanced() || got != sent {
+			t.Errorf("shards=%d drained: %v with %d delivered, want all %d delivered", shards, c, got, sent)
+		}
+		for _, err := range n.AuditInvariants() {
+			t.Errorf("shards=%d: audit: %v", shards, err)
+		}
+	}
+}

@@ -46,12 +46,27 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 				tm = s.After(200*time.Millisecond, fn)
 			}
 		}},
-		{"AtCallLane+fire", func(s *Scheduler) func() {
+		{"PushLane+fire", func(s *Scheduler) func() {
+			l := s.NewLine(0, 1, nopCall, x)
 			var seq uint64
 			return func() {
 				seq++
-				s.AtCallLane(0, 1, seq, s.Now().Add(time.Microsecond), nopCall, x, nil)
+				l.PushLane(seq, s.Now().Add(time.Microsecond), x)
 				s.Run()
+			}
+		}},
+		{"Push+fire/2300 in flight", func(s *Scheduler) func() {
+			// A wire with ~2,300 packets propagating: each op sends one
+			// and delivers the oldest, so the ring wraps but never grows
+			// after the warm-up batch.
+			l := s.NewLine(0, 0, nopCall, x)
+			const inFlight = 2300
+			for i := 1; i <= inFlight; i++ {
+				l.Push(Time(i)*Time(time.Microsecond), x)
+			}
+			return func() {
+				l.Push(s.Now().Add(inFlight*time.Microsecond), x)
+				s.step()
 			}
 		}},
 		{"Ticker tick", func(s *Scheduler) func() {

@@ -16,6 +16,9 @@ import (
 //   - Ticker: periodic callbacks, the telemetry-sampler pattern.
 //   - DeepQueue: schedule->fire plus an RTO reset at the queue depth of
 //     a lossy long-fat-path transfer, the event kernel's bottom rung.
+//   - Wire: the same transfer once its packets in flight ride delay
+//     lines: Push->fire plus an RTO reset, with the heap holding only
+//     line heads and timers.
 
 // BenchmarkSchedulerScheduleFire measures one schedule plus one
 // (amortized) fire per op, with the queue kept around 1k events.
@@ -107,5 +110,42 @@ func BenchmarkSchedulerDeepQueue(b *testing.B) {
 	b.StopTimer()
 	if got := s.Pending(); got != 4097 {
 		b.Fatalf("Pending = %d, want 4097", got)
+	}
+}
+
+// BenchmarkSchedulerWire measures one Push onto a delay line, one fire
+// and one RTO-style Timer.Stop plus re-arm per op, with ~2,300 packets
+// in flight across 4 lines and 8 timers re-armed in turn — DeepQueue's
+// transfer with its wire packets on lines, as netsim runs it. The heap
+// holds the 4 line heads, the 8 live timers and their cancelled
+// predecessors until compaction.
+func BenchmarkSchedulerWire(b *testing.B) {
+	const lines, inFlight, timers = 4, 2300, 8
+	s := New()
+	fn := func() {}
+	var ls [lines]*Line
+	for i := range ls {
+		ls[i] = s.NewLine(0, 0, nopCall, nil)
+	}
+	// One packet a microsecond, round-robin over the lines, each
+	// arriving inFlight µs after it was sent.
+	for i := 1; i <= inFlight; i++ {
+		ls[i%lines].Push(Time(i)*Time(time.Microsecond), nil)
+	}
+	var rto [timers]Timer
+	for i := range rto {
+		rto[i] = s.After(time.Second, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ls[i%lines].Push(s.Now().Add(inFlight*time.Microsecond), nil)
+		s.step()
+		rto[i%timers].Stop()
+		rto[i%timers] = s.After(time.Second, fn)
+	}
+	b.StopTimer()
+	if got := s.Pending(); got != inFlight+timers {
+		b.Fatalf("Pending = %d, want %d", got, inFlight+timers)
 	}
 }

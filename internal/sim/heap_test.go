@@ -10,57 +10,89 @@ import (
 )
 
 // refEvent is the sort-based reference model's view of one live event:
-// the kernel must fire events in ascending (at, schedOrder), where
-// schedOrder is the global scheduling call order (the reference's stand-in
-// for the kernel's internal seq).
+// the kernel must fire events in ascending (at, lane, seq). On lane 0
+// seq is the global scheduling call order — timers and lane-0 line
+// pushes alike draw it from the scheduler's counter — and on a lane it
+// is the caller's lane sequence.
 type refEvent struct {
-	at         Time
-	schedOrder int
-	id         int
+	at   Time
+	lane uint32
+	seq  int
+	id   int
 }
 
 // TestHeapMatchesReferenceModel drives randomized schedule / cancel /
-// reschedule sequences against the 4-ary lazy-cancel heap and checks the
-// fired order against a plain sort of the surviving events. Times are
-// drawn from a deliberately small range so ties (broken by seq) are
-// common, and the table includes degenerate (0, 1) and large (10k) sizes
-// to cross the compaction threshold, plus cancel-everything cases in
-// which the last compaction finds no live entry at all.
+// reschedule sequences against the 4-ary lazy-cancel heap, interleaved
+// with pushes onto two lines (one on lane 0, one on lane 3), and checks
+// the fired order against a plain sort of the surviving events. Times
+// are drawn from a deliberately small range so ties between timers,
+// lines and lanes are common (a line push draws from the same range,
+// raised to the line's last time), and the table includes degenerate
+// (0, 1) and large (10k) sizes to cross the compaction threshold, plus
+// cancel-everything cases in which the last compaction finds no live
+// timer at all, at and above the compaction floor.
 func TestHeapMatchesReferenceModel(t *testing.T) {
 	cases := []struct {
 		n         int
-		cancelAll bool // cancel every event and reschedule none
+		cancelAll bool // cancel every timer and reschedule none
 	}{
 		{0, false}, {1, false}, {2, false}, {3, false}, {7, false},
 		{64, false}, {1000, false}, {10000, false},
-		{1024, true}, {2048, true},
+		{64, true}, {128, true}, {1024, true}, {2048, true},
 	}
+	const lane = 3
 	for _, tc := range cases {
 		n := tc.n
 		for seed := int64(1); seed <= 3; seed++ {
 			rng := rand.New(rand.NewSource(seed*1000 + int64(n)))
 			s := New()
 			var fired []int
+			record := func(_, b any) { fired = append(fired, b.(int)) }
+			local := s.NewLine(0, 0, record, nil)
+			laned := s.NewLine(0, lane, record, nil)
 
-			schedOrder := 0
+			schedOrder := 0 // the scheduler's lane-0 seq counter
+			laneSeq := 0
 			nextID := 0
 			type live struct {
 				tm Timer
 				re refEvent
 			}
 			var lives []live
+			var lineEvents []refEvent // lines cannot cancel: all survive
+			var localTail, laneTail Time
 
+			draw := func() Time { return Time(rng.Intn(50)) * Time(time.Microsecond) }
 			scheduleOne := func() {
-				at := Time(rng.Intn(50)) * Time(time.Microsecond)
+				at := draw()
 				id := nextID
 				nextID++
-				tm := s.At(at, func() { fired = append(fired, id) })
-				lives = append(lives, live{tm, refEvent{at, schedOrder, id}})
 				schedOrder++
+				tm := s.At(at, func() { fired = append(fired, id) })
+				lives = append(lives, live{tm, refEvent{at, 0, schedOrder, id}})
+			}
+			pushLines := func() {
+				switch rng.Intn(4) {
+				case 0:
+					localTail = max(localTail, draw())
+					id := nextID
+					nextID++
+					schedOrder++
+					local.Push(localTail, id)
+					lineEvents = append(lineEvents, refEvent{localTail, 0, schedOrder, id})
+				case 1:
+					laneTail = max(laneTail, draw())
+					id := nextID
+					nextID++
+					laneSeq++
+					laned.PushLane(uint64(laneSeq), laneTail, id)
+					lineEvents = append(lineEvents, refEvent{laneTail, lane, laneSeq, id})
+				}
 			}
 
 			for i := 0; i < n; i++ {
 				scheduleOne()
+				pushLines()
 			}
 
 			// Churn: cancel ~half the events in random order; half of the
@@ -80,21 +112,26 @@ func TestHeapMatchesReferenceModel(t *testing.T) {
 				if !tc.cancelAll && rng.Intn(2) == 0 {
 					scheduleOne()
 				}
+				pushLines()
 			}
 
-			if got := s.Pending(); got != len(lives) {
-				t.Fatalf("n=%d seed=%d: Pending = %d, want %d live", n, seed, got, len(lives))
+			if got, want := s.Pending(), len(lives)+len(lineEvents); got != want {
+				t.Fatalf("n=%d seed=%d: Pending = %d, want %d live", n, seed, got, want)
 			}
 
-			want := make([]refEvent, len(lives))
-			for i, l := range lives {
-				want[i] = l.re
+			want := lineEvents
+			for _, l := range lives {
+				want = append(want, l.re)
 			}
 			sort.Slice(want, func(i, j int) bool {
-				if want[i].at != want[j].at {
-					return want[i].at < want[j].at
+				a, b := want[i], want[j]
+				if a.at != b.at {
+					return a.at < b.at
 				}
-				return want[i].schedOrder < want[j].schedOrder
+				if a.lane != b.lane {
+					return a.lane < b.lane
+				}
+				return a.seq < b.seq
 			})
 
 			s.Run()
@@ -169,9 +206,10 @@ func TestHeapMidRunCancellation(t *testing.T) {
 	}
 }
 
-// TestHeapCompaction forces the O(n) compaction pass (cancelled >= 1024
-// and cancelled >= half the heap) and verifies pop order, Pending
-// bookkeeping, and that handles to compacted-away timers are inert.
+// TestHeapCompaction forces the O(n) compaction pass (cancelled >=
+// compactFloor and cancelled >= half the heap) and verifies pop order,
+// Pending bookkeeping, and that handles to compacted-away timers are
+// inert.
 func TestHeapCompaction(t *testing.T) {
 	s := New()
 	var fired []int
@@ -195,7 +233,7 @@ func TestHeapCompaction(t *testing.T) {
 	// Compaction must have run: 4000 cancellations against a 5000-entry
 	// heap crosses both thresholds. The cancelled counter resets on the
 	// compaction pass, so it must be far below the number of Stops.
-	if s.cancelled >= 1024 {
+	if s.cancelled >= len(cancelled)/4 {
 		t.Fatalf("compaction did not run: cancelled = %d", s.cancelled)
 	}
 	for _, tm := range cancelled {

@@ -25,22 +25,28 @@ func TestLaneZeroOrderUnchanged(t *testing.T) {
 	}
 }
 
+// recordLine returns a line on lane whose entries append their operand
+// to *got when they fire.
+func recordLine(s *Scheduler, lane uint32, got *[]string) *Line {
+	return s.NewLine(0, lane, func(_, b any) { *got = append(*got, b.(string)) }, nil)
+}
+
 // TestLaneOrdering verifies the full (time, lane, laneSeq) order: at one
 // timestamp, lane 0 runs first, then lanes ascending, then laneSeq
-// ascending within a lane — regardless of scheduling order.
+// ascending within a lane — regardless of scheduling order. A line's own
+// keys never go backwards, so each out-of-order push goes to a line of
+// its own; the heap orders the line heads.
 func TestLaneOrdering(t *testing.T) {
 	s := New()
 	var got []string
-	rec := func(tag string) CallFunc {
-		return func(a, b any) { got = append(got, tag) }
-	}
+	line := func(lane uint32) *Line { return recordLine(s, lane, &got) }
 	// Scheduled deliberately out of key order.
-	s.AtCallLane(0, 2, 7, 50, rec("lane2/7"), nil, nil)
-	s.AtCallLane(0, 1, 9, 50, rec("lane1/9"), nil, nil)
+	line(2).PushLane(7, 50, "lane2/7")
+	line(1).PushLane(9, 50, "lane1/9")
 	s.At(50, func() { got = append(got, "lane0/a") })
-	s.AtCallLane(0, 1, 3, 50, rec("lane1/3"), nil, nil)
+	line(1).PushLane(3, 50, "lane1/3")
 	s.At(50, func() { got = append(got, "lane0/b") })
-	s.AtCallLane(0, 1, 4, 40, rec("early"), nil, nil)
+	line(1).PushLane(4, 40, "early")
 	s.Run()
 	want := []string{"early", "lane0/a", "lane0/b", "lane1/3", "lane1/9", "lane2/7"}
 	if len(got) != len(want) {
@@ -59,15 +65,13 @@ func TestLaneOrdering(t *testing.T) {
 func TestLaneSeqIndependentOfLocalSeq(t *testing.T) {
 	s := New()
 	var got []string
-	rec := func(tag string) CallFunc {
-		return func(a, b any) { got = append(got, tag) }
-	}
-	// Burn local seq numbers between the lane schedules.
-	s.AtCallLane(0, 1, 2, 10, rec("second"), nil, nil)
+	// Burn local seq numbers between the lane pushes, which go to two
+	// lines of one lane because the second key precedes the first.
+	recordLine(s, 1, &got).PushLane(2, 10, "second")
 	for i := 0; i < 100; i++ {
 		s.At(5, func() {})
 	}
-	s.AtCallLane(0, 1, 1, 10, rec("first"), nil, nil)
+	recordLine(s, 1, &got).PushLane(1, 10, "first")
 	s.Run()
 	if len(got) != 2 || got[0] != "first" || got[1] != "second" {
 		t.Fatalf("lane order %v, want [first second]", got)
@@ -81,7 +85,7 @@ func TestLaneEventAtNow(t *testing.T) {
 	s := New()
 	s.RunUntil(100)
 	fired := false
-	s.AtCallLane(0, 1, 1, 100, func(a, b any) { fired = true }, nil, nil)
+	s.NewLine(0, 1, func(a, b any) { fired = true }, nil).PushLane(1, 100, nil)
 	s.RunUntil(200)
 	if !fired {
 		t.Fatal("lane event at now did not fire")
@@ -91,24 +95,121 @@ func TestLaneEventAtNow(t *testing.T) {
 	}
 }
 
-func TestAtCallLaneRejectsLaneZero(t *testing.T) {
+func TestPushLaneRejectsLaneZero(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AtCallLane(lane=0) did not panic")
+			t.Fatal("PushLane on a lane-0 line did not panic")
 		}
 	}()
-	New().AtCallLane(0, 0, 1, 10, func(a, b any) {}, nil, nil)
+	New().NewLine(0, 0, nopCall, nil).PushLane(1, 10, nil)
 }
 
-func TestAtCallLaneRejectsPast(t *testing.T) {
+func TestPushLaneRejectsPast(t *testing.T) {
 	s := New()
 	s.RunUntil(100)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("AtCallLane in the past did not panic")
+			t.Fatal("PushLane in the past did not panic")
 		}
 	}()
-	s.AtCallLane(0, 1, 1, 99, func(a, b any) {}, nil, nil)
+	s.NewLine(0, 1, nopCall, nil).PushLane(1, 99, nil)
+}
+
+// TestLinePushRejectsBackwardKey: a push whose key would precede the
+// line's last entry, or fall before now, panics; a push that ties the
+// last entry's time is accepted when its key still moves forward.
+func TestLinePushRejectsBackwardKey(t *testing.T) {
+	cases := []struct {
+		name  string
+		lane  uint32
+		prime func(l *Line) // pushes before the one under test
+		push  func(l *Line)
+		ok    bool
+	}{
+		{"Push before tail", 0,
+			func(l *Line) { l.Push(20, nil) },
+			func(l *Line) { l.Push(19, nil) }, false},
+		{"Push at tail", 0,
+			func(l *Line) { l.Push(20, nil) },
+			func(l *Line) { l.Push(20, nil) }, true},
+		{"Push before now", 0,
+			func(l *Line) {},
+			func(l *Line) { l.Push(9, nil) }, false},
+		{"Push on a lane line", 1,
+			func(l *Line) {},
+			func(l *Line) { l.Push(20, nil) }, false},
+		{"PushLane before tail", 1,
+			func(l *Line) { l.PushLane(1, 20, nil) },
+			func(l *Line) { l.PushLane(2, 19, nil) }, false},
+		{"PushLane tail time, lower seq", 1,
+			func(l *Line) { l.PushLane(5, 20, nil) },
+			func(l *Line) { l.PushLane(4, 20, nil) }, false},
+		{"PushLane tail time, same seq", 1,
+			func(l *Line) { l.PushLane(5, 20, nil) },
+			func(l *Line) { l.PushLane(5, 20, nil) }, false},
+		{"PushLane tail time, higher seq", 1,
+			func(l *Line) { l.PushLane(5, 20, nil) },
+			func(l *Line) { l.PushLane(6, 20, nil) }, true},
+		{"PushLane before now on a drained line", 1,
+			func(l *Line) { l.PushLane(1, 5, nil) },
+			func(l *Line) { l.PushLane(2, 9, nil) }, false},
+	}
+	for _, tc := range cases {
+		s := New()
+		l := s.NewLine(0, tc.lane, nopCall, nil)
+		tc.prime(l)
+		s.RunUntil(10)
+		panicked := func() (p bool) {
+			defer func() { p = recover() != nil }()
+			tc.push(l)
+			return false
+		}()
+		if panicked == tc.ok {
+			t.Errorf("%s: panicked = %v, want %v", tc.name, panicked, !tc.ok)
+		}
+	}
+}
+
+// TestLinePendingAndNextEventTime: Pending counts every line entry, the
+// ones waiting behind a head included, and NextEventTime sees a line
+// head that precedes every timer.
+func TestLinePendingAndNextEventTime(t *testing.T) {
+	s := New()
+	l := s.NewLine(0, 0, nopCall, nil)
+	s.At(30, func() {})
+	for _, at := range []Time{10, 10, 20, 40} {
+		l.Push(at, nil)
+	}
+	if got := s.Pending(); got != 5 {
+		t.Fatalf("Pending = %d, want 5 (4 line entries + 1 timer)", got)
+	}
+	if len(s.events) != 2 {
+		t.Fatalf("heap holds %d entries, want 2 (the line head + the timer)", len(s.events))
+	}
+	if at, ok := s.NextEventTime(); !ok || at != 10 {
+		t.Fatalf("next = %v,%v, want the line head at 10", at, ok)
+	}
+	for _, want := range []struct {
+		until   Time
+		pending int
+		next    Time
+	}{{10, 3, 20}, {20, 2, 30}, {30, 1, 40}, {40, 0, -1}} {
+		s.RunUntil(want.until)
+		if got := s.Pending(); got != want.pending {
+			t.Fatalf("after %v: Pending = %d, want %d", want.until, got, want.pending)
+		}
+		at, ok := s.NextEventTime()
+		if want.next < 0 {
+			if ok {
+				t.Fatalf("after %v: next = %v, want none", want.until, at)
+			}
+		} else if !ok || at != want.next {
+			t.Fatalf("after %v: next = %v,%v, want %v", want.until, at, ok, want.next)
+		}
+	}
+	if l.Len() != 0 || len(s.freeSlots) != len(s.slots) {
+		t.Fatalf("drained line: Len = %d, %d of %d slots free", l.Len(), len(s.freeSlots), len(s.slots))
+	}
 }
 
 // TestNextEventTime verifies the engine's window-sizing peek: it must
@@ -150,8 +251,9 @@ func TestTimerAcrossRunUntilWindows(t *testing.T) {
 	s := New()
 	var ticks int
 	s.Every(10*time.Nanosecond, func() { ticks++ })
+	l := s.NewLine(0, 1, nopCall, nil)
 	for i := 1; i <= 5; i++ {
-		s.AtCallLane(0, 1, uint64(i), Time(i*7), func(a, b any) {}, nil, nil)
+		l.PushLane(uint64(i), Time(i*7), nil)
 	}
 	s.RunUntil(100)
 	if ticks != 10 {

@@ -16,11 +16,23 @@
 // free-listed table that holds the event's callback and gives timers
 // their identity, so a Timer is a plain {scheduler, slot, generation}
 // value. Timer cancellation is lazy (a slot-state check at pop instead
-// of O(log n) removal).
+// of O(log n) removal), and the heap is compacted once cancelled
+// entries number at least 64 and at least half of it.
+//
+// A Line is a delay line: a FIFO of events whose keys never decrease,
+// such as the packets propagating on one wire. Only its head sits in
+// the heap, under the key a direct schedule would have given it, and
+// firing the head replaces it at the top of the heap with the next
+// entry in one sift-down. So a line changes no execution order, and the
+// heap holds one entry per wire instead of one per packet in flight.
+// The sift-down picks each node's minimum child with a branch-free
+// tournament, because the surviving near-future compares are ones a
+// branch predictor cannot guess.
 package sim
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"sync"
@@ -67,25 +79,29 @@ type event struct {
 	slot uint32
 }
 
-// less orders events by (time, lane, seq) — the kernel's total order.
+// less returns 1 when x orders before y by (time, lane, seq) — the
+// kernel's total order — and 0 otherwise. It subtracts y's key from x's
+// as one 192-bit number, time the most significant word and seq the
+// least, and returns the final borrow, so a compare costs no branch.
+// Times are never negative (nothing schedules before now, and the clock
+// starts at zero), so time compares correctly as unsigned.
 //
 // Lane 0 is the local lane: every event scheduled through the ordinary
-// At/After API lands there with seq taken from the scheduler's own
-// counter, so a single-scheduler run orders exactly as it always has —
-// (time, scheduling order). Nonzero lanes exist for the sharded engine
-// (internal/shard): a cross-shard packet delivery is keyed by its
-// link-direction lane and a per-lane sequence assigned at the sending
-// side, which is the same key no matter how many shards the topology is
-// cut into. That shard-count-invariant tie-break is what makes sharded
-// runs byte-identical to each other.
-func (e *event) less(other *event) bool {
-	if e.at != other.at {
-		return e.at < other.at
-	}
-	if e.lane != other.lane {
-		return e.lane < other.lane
-	}
-	return e.seq < other.seq
+// At/After API, or pushed onto a lane-0 Line, lands there with seq taken
+// from the scheduler's own counter, so a single-scheduler run orders
+// exactly as it always has — (time, scheduling order). Nonzero lanes
+// exist for the sharded engine (internal/shard): a cross-shard packet
+// delivery is keyed by its link-direction lane and a per-lane sequence
+// assigned at the sending side, which is the same key no matter how many
+// shards the topology is cut into. That shard-count-invariant tie-break
+// is what makes sharded runs byte-identical to each other.
+//
+//dmz:hotpath
+func less(x, y *event) uint64 {
+	_, b := bits.Sub64(x.seq, y.seq, 0)
+	_, b = bits.Sub64(uint64(x.lane), uint64(y.lane), b)
+	_, b = bits.Sub64(uint64(x.at), uint64(y.at), b)
+	return b
 }
 
 // Timer slot states.
@@ -93,6 +109,7 @@ const (
 	slotFree uint8 = iota
 	slotPending
 	slotCancelled
+	slotLine // the head of a Line; b holds the *Line
 )
 
 // timerSlot is the stable identity and payload of one scheduled event.
@@ -100,6 +117,8 @@ const (
 // entry is popped, skimmed or compacted away; then freeSlot recycles it
 // and increments its generation, so stale Timer handles are detected
 // by comparison. Exactly one of fn/call is non-nil while it is in use.
+// A non-empty Line holds one slot for its head's heap entry, from its
+// first push until it empties.
 type timerSlot struct {
 	at    Time // fire time, for Timer.When
 	fn    func()
@@ -128,6 +147,10 @@ type Scheduler struct {
 	slots     []timerSlot
 	freeSlots []uint32
 	cancelled int
+
+	// behind counts Line entries waiting behind their line's head,
+	// which have no heap entry of their own.
+	behind int
 
 	// shared marks a scheduler whose timers other goroutines may Stop
 	// while it is idle (see SetShared); cancelMu serializes their
@@ -179,10 +202,11 @@ type Timer struct {
 }
 
 // enqueue takes a slot from the free-list (or grows the table), stores
-// the event's callback there, and pushes its key onto the heap.
+// the event's callback there, pushes its key onto the heap, and returns
+// the slot.
 //
 //dmz:hotpath
-func (s *Scheduler) enqueue(tag Tag, lane uint32, seq uint64, t Time, fn func(), call CallFunc, a, b any) Timer {
+func (s *Scheduler) enqueue(tag Tag, lane uint32, seq uint64, t Time, fn func(), call CallFunc, a, b any) uint32 {
 	var idx uint32
 	if n := len(s.freeSlots); n > 0 {
 		idx = s.freeSlots[n-1]
@@ -195,7 +219,7 @@ func (s *Scheduler) enqueue(tag Tag, lane uint32, seq uint64, t Time, fn func(),
 	sl.at, sl.fn, sl.call, sl.a, sl.b = t, fn, call, a, b
 	sl.state, sl.tag = slotPending, tag
 	s.push(event{at: t, seq: seq, lane: lane, slot: idx})
-	return Timer{s: s, slot: idx, gen: sl.gen}
+	return idx
 }
 
 // freeSlot recycles a slot whose heap entry has been popped or
@@ -219,29 +243,8 @@ func (s *Scheduler) schedule(tag Tag, t Time, fn func(), call CallFunc, a, b any
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
 	}
 	s.seq++
-	return s.enqueue(tag, 0, s.seq, t, fn, call, a, b)
-}
-
-// AtCallLane schedules a closure-free event on a nonzero ordering lane:
-// call(a, b) runs at absolute time t, ordered after all lane-0 events at
-// t and against other lane events by (lane, laneSeq). The caller owns
-// laneSeq assignment and must keep it strictly increasing per lane.
-//
-// This is the sharded engine's delivery primitive (see internal/shard):
-// the (lane, laneSeq) key is derived from the cut link and the sending
-// side's emission order, so the executed order of same-timestamp
-// deliveries is identical at any shard count. Ordinary simulation code
-// has no reason to call it.
-//
-//dmz:hotpath
-func (s *Scheduler) AtCallLane(tag Tag, lane uint32, laneSeq uint64, t Time, call CallFunc, a, b any) Timer {
-	if lane == 0 {
-		panic("sim: AtCallLane requires a nonzero lane; lane 0 is the local lane")
-	}
-	if t < s.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, s.now))
-	}
-	return s.enqueue(tag, lane, laneSeq, t, nil, call, a, b)
+	idx := s.enqueue(tag, 0, s.seq, t, fn, call, a, b)
+	return Timer{s: s, slot: idx, gen: s.slots[idx].gen}
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past (t
@@ -343,7 +346,7 @@ func (s *Scheduler) push(e event) {
 	i := len(s.events) - 1
 	for i > 0 {
 		parent := (i - 1) / 4
-		if !e.less(&s.events[parent]) {
+		if less(&e, &s.events[parent]) == 0 {
 			break
 		}
 		s.events[i] = s.events[parent]
@@ -352,48 +355,55 @@ func (s *Scheduler) push(e event) {
 	s.events[i] = e
 }
 
-// popTop removes and returns the minimum event. The caller guarantees
-// the heap is non-empty.
+// popTop removes the minimum event. The caller guarantees the heap is
+// non-empty.
 //
 //dmz:hotpath
-func (s *Scheduler) popTop() event {
-	top := s.events[0]
+func (s *Scheduler) popTop() {
 	n := len(s.events) - 1
 	last := s.events[n]
 	s.events = s.events[:n]
 	if n > 0 {
 		s.siftDown(0, last)
 	}
-	return top
 }
 
-// siftDown places e into the hole at index i, moving smaller children up.
+// siftDown places e into the hole at index i, moving smaller children
+// up. A node with all four children picks the smallest by a two-round
+// tournament — the smaller of each pair, then of the two winners — in
+// which every compare is a borrow bit and every pick is arithmetic, so
+// the scan has no branch to mispredict; keys are unique, so which of two
+// equal children wins cannot matter. Only the loop exit branches.
 //
 //dmz:hotpath
 func (s *Scheduler) siftDown(i int, e event) {
-	n := len(s.events)
+	ev := s.events
+	n := len(ev)
 	for {
 		first := i*4 + 1
-		if first >= n {
-			break
-		}
-		min := first
-		last := first + 4
-		if last > n {
-			last = n
-		}
-		for c := first + 1; c < last; c++ {
-			if s.events[c].less(&s.events[min]) {
-				min = c
+		var min int
+		if first+4 <= n {
+			kids := ev[first : first+4]
+			x := int(less(&kids[1], &kids[0]))
+			y := 2 + int(less(&kids[3], &kids[2]))
+			min = first + (x ^ (x^y)&-int(less(&kids[y&3], &kids[x&3])))
+		} else if first < n {
+			min = first
+			for c := first + 1; c < n; c++ {
+				if less(&ev[c], &ev[min]) != 0 {
+					min = c
+				}
 			}
-		}
-		if !s.events[min].less(&e) {
+		} else {
 			break
 		}
-		s.events[i] = s.events[min]
+		if less(&ev[min], &e) == 0 {
+			break
+		}
+		ev[i] = ev[min]
 		i = min
 	}
-	s.events[i] = e
+	ev[i] = e
 }
 
 // skim discards lazily cancelled events from the top of the heap so
@@ -413,16 +423,24 @@ func (s *Scheduler) skim() {
 	}
 }
 
+// compactFloor is the fewest cancelled entries worth an O(n) compaction
+// pass. It is low because lines keep the heap small — hundreds of
+// entries, not thousands, many of them cancelled RTO, delayed-ACK and
+// interest timers — so dead entries cost sift levels long before a
+// thousand accumulate; the half-the-heap rule keeps the pass amortised
+// O(1) per Stop.
+const compactFloor = 64
+
 // maybeCompact rebuilds the heap without its cancelled entries once
 // they outnumber live ones (and are worth the O(n) pass). Timer-churn
 // workloads — a TCP sender resetting its RTO on every ACK — would
 // otherwise grow the heap without bound. Compaction cannot change pop
-// order: (time, seq) is a total order, so any heap layout of the same
-// live events pops identically.
+// order: (time, lane, seq) is a total order, so any heap layout of the
+// same live events pops identically.
 //
 //dmz:hotpath
 func (s *Scheduler) maybeCompact() {
-	if s.cancelled < 1024 || s.cancelled*2 < len(s.events) {
+	if s.cancelled < compactFloor || s.cancelled*2 < len(s.events) {
 		return
 	}
 	w := 0
@@ -455,11 +473,16 @@ func (s *Scheduler) step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	e := s.popTop()
+	e := s.events[0]
 	sl := &s.slots[e.slot]
 	fn, call, a, b := sl.fn, sl.call, sl.a, sl.b
 	s.tagCounts[sl.tag]++
-	s.freeSlot(e.slot) // handles go stale before the callback runs
+	if sl.state == slotLine {
+		b = b.(*Line).shift()
+	} else {
+		s.popTop()
+		s.freeSlot(e.slot) // handles go stale before the callback runs
+	}
 	if e.at < s.now {
 		s.ClockRegressions++
 	}
@@ -534,9 +557,9 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // scheduler's window.
 func (s *Scheduler) Stopped() bool { return s.stopped }
 
-// Pending returns the number of queued live events (lazily cancelled
-// entries awaiting discard are not counted).
-func (s *Scheduler) Pending() int { return len(s.events) - s.cancelled }
+// Pending returns the number of queued live events, Line entries
+// included (lazily cancelled entries awaiting discard are not counted).
+func (s *Scheduler) Pending() int { return len(s.events) - s.cancelled + s.behind }
 
 // NextEventTime returns the timestamp of the earliest live pending
 // event, or ok=false when the queue is empty. The sharded engine uses it
