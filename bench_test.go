@@ -278,8 +278,18 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 		srv := tcp.NewServer(s, 5001, tcp.Tuned())
 		tcp.Dial(c, srv, -1, tcp.Tuned(), nil)
 		n.RunFor(2 * time.Second)
-		b.ReportMetric(float64(n.Sched.Processed), "events/iter")
+		b.ReportMetric(float64(eventsProcessed(n)), "events/iter")
 	}
+}
+
+// eventsProcessed counts the events a run executed on the network's
+// control and shard schedulers.
+func eventsProcessed(n *netsim.Network) uint64 {
+	var total uint64
+	for _, s := range n.Schedulers() {
+		total += s.Processed
+	}
+	return total
 }
 
 // BenchmarkSweepParallel measures the sweep harness worker pool on an
@@ -325,7 +335,7 @@ func telemetryWorkload(b *testing.B, tele *telemetry.Telemetry) {
 		srv := tcp.NewServer(s, 5001, tcp.Tuned())
 		tcp.Dial(c, srv, -1, tcp.Tuned(), nil)
 		n.RunFor(2 * time.Second)
-		b.ReportMetric(float64(n.Sched.Processed), "events/iter")
+		b.ReportMetric(float64(eventsProcessed(n)), "events/iter")
 	}
 }
 

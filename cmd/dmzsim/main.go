@@ -27,7 +27,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/netsim"
-	"repro/internal/shard"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -328,10 +327,8 @@ func main() {
 	flag.IntVar(&parallelWorkers, "parallel", 0, "sweep worker count (0 = GOMAXPROCS); results are identical at any value")
 	flag.Int64Var(&cacheBudget, "cache-budget", 0, "with -run tier2: absolute content-cache byte budget (0 = 10% of catalog bytes)")
 	flag.StringVar(&catalogPath, "catalog", "", "with -run tier2: dataset catalog file, one 'name bytes chunk-bytes' per line (default: synthetic 240 x 1 MB)")
-	shards := flag.Int("shards", 0, "run the simulated network on N parallel shards (0 = the classic single-scheduler path; output is byte-identical at any N >= 1, and 0 can differ)")
+	flag.IntVar(&netsim.DefaultShards, "shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
 	flag.Parse()
-
-	shard.SetDefaultPlan(*shards)
 
 	finishProfiling := setupProfiling(*cpuprofile, *memprofile, *pprofAddr)
 	finish, wait := setupTelemetry(*tracePath, *metrics, *serve, *traceSpans)

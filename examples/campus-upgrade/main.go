@@ -23,8 +23,8 @@ import (
 
 	"repro/internal/flowgen"
 	"repro/internal/fluid"
+	"repro/internal/netsim"
 	"repro/internal/perfsonar"
-	"repro/internal/shard"
 	"repro/internal/tcp"
 	"repro/internal/topo"
 	"repro/internal/units"
@@ -73,10 +73,9 @@ func measure(c *topo.Colorado, bgFlows int) (perHost units.BitRate, alerts int, 
 }
 
 func main() {
-	shards := flag.Int("shards", 0, "run the simulated network on N parallel shards (0 = the classic single-scheduler path; output is byte-identical at any N >= 1, and 0 can differ)")
+	flag.IntVar(&netsim.DefaultShards, "shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
 	bgFlows := flag.Int("background-flows", 0, "enterprise background mice over the run, advanced by the hybrid fluid engine (0 = none; try 100000)")
 	flag.Parse()
-	shard.SetDefaultPlan(*shards)
 
 	cfg := topo.ColoradoConfig{}
 	if *bgFlows > 0 {

@@ -18,15 +18,13 @@ import (
 	"repro/internal/flowgen"
 	"repro/internal/netsim"
 	"repro/internal/rdma"
-	"repro/internal/shard"
 	"repro/internal/topo"
 	"repro/internal/units"
 )
 
 func main() {
-	shards := flag.Int("shards", 0, "run the simulated network on N parallel shards (0 = the classic single-scheduler path; output is byte-identical at any N >= 1, and 0 can differ)")
+	flag.IntVar(&netsim.DefaultShards, "shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
 	flag.Parse()
-	shard.SetDefaultPlan(*shards)
 
 	b := topo.NewBigData(1, topo.BigDataConfig{})
 

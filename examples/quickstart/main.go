@@ -13,8 +13,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dtn"
+	"repro/internal/netsim"
 	"repro/internal/perfsonar"
-	"repro/internal/shard"
 	"repro/internal/tcp"
 	"repro/internal/topo"
 	"repro/internal/units"
@@ -24,9 +24,8 @@ func main() {
 	// 1. Build the Figure 3 topology: border router, DMZ switch with a
 	//    DTN and a perfSONAR host, campus behind a firewall. The WAN is
 	//    10G at ~25ms RTT.
-	shards := flag.Int("shards", 0, "run the simulated network on N parallel shards (0 = the classic single-scheduler path; output is byte-identical at any N >= 1, and 0 can differ)")
+	flag.IntVar(&netsim.DefaultShards, "shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
 	flag.Parse()
-	shard.SetDefaultPlan(*shards)
 
 	d := topo.NewSimpleDMZ(1, topo.SimpleDMZConfig{})
 

@@ -21,7 +21,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/netsim"
-	"repro/internal/shard"
 	"repro/internal/tcp"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -34,9 +33,8 @@ var scenarioJSON []byte
 func main() {
 	traceSpans := flag.Bool("trace-spans", false,
 		"run one instrumented scenario with a reference transfer during the fault and print its critical-path analysis")
-	shards := flag.Int("shards", 0, "run the simulated network on N parallel shards (0 = the classic single-scheduler path; output is byte-identical at any N >= 1, and 0 can differ)")
+	flag.IntVar(&netsim.DefaultShards, "shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
 	flag.Parse()
-	shard.SetDefaultPlan(*shards)
 	sc, err := fault.ParseScenario(scenarioJSON)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

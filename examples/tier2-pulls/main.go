@@ -22,13 +22,12 @@ import (
 	"os"
 
 	"repro/internal/experiments"
-	"repro/internal/shard"
+	"repro/internal/netsim"
 )
 
 func main() {
-	shards := flag.Int("shards", 0, "run the simulated network on N parallel shards (0 = the classic single-scheduler path; output is byte-identical at any N >= 1, and 0 can differ)")
+	flag.IntVar(&netsim.DefaultShards, "shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
 	flag.Parse()
-	shard.SetDefaultPlan(*shards)
 
 	res := experiments.Tier2(experiments.Tier2Config{})
 	fmt.Print(res.Render())

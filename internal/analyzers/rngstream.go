@@ -11,14 +11,20 @@ import (
 // derived from a *name*, via sim.DeriveSeed("component/kind", parts...)
 // or a helper wrapping it — never by ad-hoc arithmetic on a base seed
 // (seed+1, seed*31+i), whose streams silently collide or shift when a
-// component is added, removed, or reordered. PR 8's flowgen migration
-// (Business.Name routed through sim.DeriveSeed) is the positive
-// pattern; this analyzer keeps the codebase there. Two checks:
+// component is added, removed, or reordered. flowgen's Business (its
+// Name and the run seed routed through sim.DeriveSeed) is the positive
+// pattern; this analyzer keeps the codebase there. Three checks:
 //
 //   - raw seed arithmetic: a non-constant arithmetic expression feeding
 //     sim.NewRand / rand.New / rand.NewSource. Pass a seed through
 //     unchanged, or derive a named stream. Deliberate legacy paths
 //     (kept for byte-compatibility) carry `//dmzvet:rawseed <reason>`.
+//   - unrooted streams: a sim.DeriveSeed call that names a stream but
+//     leaves out the run seed, so every seed replays the same draws.
+//     The call must pass the seed as strconv.FormatInt(seed, 10) or
+//     spread a caller's parts (harness.Seed, Network.Stream), whose
+//     callers root them. A deliberately seedless stream carries
+//     `//dmzvet:rawseed <reason>`.
 //   - shared streams: storing a *rand.Rand read out of another
 //     component's field (or returned by a stream-accessor method — an
 //     interprocedural fact) into your own field aliases one generator
@@ -55,6 +61,7 @@ func runRNGStream(pass *ProgramPass) error {
 				switch e := n.(type) {
 				case *ast.CallExpr:
 					checkSeedArgs(pass, pkg, file, e)
+					checkRooted(pass, pkg, file, e)
 				case *ast.AssignStmt:
 					checkStreamAssign(pass, pkg, file, accessors, e)
 				case *ast.CompositeLit:
@@ -85,6 +92,40 @@ func checkSeedArgs(pass *ProgramPass, pkg *Package, f *ast.File, call *ast.CallE
 				"raw seed arithmetic feeds a RNG stream: derive a named stream with sim.DeriveSeed(\"component/kind\", ...) so streams stay stable as components are added or reordered, or justify a legacy path with //dmzvet:rawseed")
 		}
 	}
+}
+
+// checkRooted flags a DeriveSeed call with no part formatting a seed.
+func checkRooted(pass *ProgramPass, pkg *Package, f *ast.File, call *ast.CallExpr) {
+	if name, ok := calleeName(call); !ok || name != "DeriveSeed" || call.Ellipsis.IsValid() {
+		return
+	}
+	if _, isFn := calleeFunc(pkg.TypesInfo, call); !isFn {
+		return
+	}
+	for _, arg := range call.Args {
+		if formatsSeed(pkg.TypesInfo, arg) {
+			return
+		}
+	}
+	if pass.suppressed(pkg, f, call, "rawseed") {
+		return
+	}
+	pass.Reportf(pkg, call,
+		"DeriveSeed names a stream without the run seed, so every seed replays the same draws: pass strconv.FormatInt(seed, 10) or derive through a seeded accessor (Network.Stream), or justify a seedless stream with //dmzvet:rawseed")
+}
+
+// formatsSeed reports whether e is strconv.FormatInt(x, 10).
+func formatsSeed(info *types.Info, e ast.Expr) bool {
+	call, ok := e.(*ast.CallExpr)
+	if !ok || len(call.Args) != 2 {
+		return false
+	}
+	fn, ok := calleeFunc(info, call)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "strconv" || fn.Name() != "FormatInt" {
+		return false
+	}
+	base, ok := info.Types[call.Args[1]]
+	return ok && base.Value != nil && base.Value.ExactString() == "10"
 }
 
 // rawSeedExpr reports whether the seed expression contains non-constant

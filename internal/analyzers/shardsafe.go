@@ -6,7 +6,7 @@ import (
 )
 
 // ShardSafe enforces the host-affinity contract the sharded engine
-// (internal/shard, PR 7) depends on: code that runs on the packet data
+// (netsim.Engine) depends on: code that runs on the packet data
 // path executes on its node's shard scheduler, whose clock runs ahead
 // of the control plane between barriers. Touching the network-level
 // control scheduler from there is the exact bug class the PR 7 sweep

@@ -172,7 +172,7 @@ func (s *sender) setPhaseBad(phase string, seq int64) {
 	s.bus.Emit(event{at: 0, kind: 1, flow: key, label: label})
 }
 
-// Cross-shard handoff mirrors internal/shard's SPSC ring: Push runs on
+// Cross-shard handoff mirrors netsim's SPSC ring: Push runs on
 // the producing shard's event goroutine once per cut-crossing packet,
 // so it is subject to the same zero-allocation contract as the
 // scheduler itself.

@@ -102,7 +102,7 @@ func reassigned(n *Network) {
 
 type ringEntry struct{ pkt *Packet }
 
-// crossRing is the audited shape (mirrors internal/shard.Ring).
+// crossRing is the audited shape (mirrors netsim.Ring).
 //
 //dmzvet:holder
 type crossRing struct{ buf []ringEntry }

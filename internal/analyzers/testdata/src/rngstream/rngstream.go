@@ -5,7 +5,10 @@
 // package's helpers.
 package rngstream
 
-import "math/rand"
+import (
+	"math/rand"
+	"strconv"
+)
 
 // DeriveSeed mirrors sim.DeriveSeed: a named, order-independent stream
 // derivation. The arithmetic inside is legal — it does not feed a RNG
@@ -38,8 +41,26 @@ func badConverted(seed int, i int) *rand.Rand {
 	return NewRand(int64(seed * 31 * i)) // want `raw seed arithmetic feeds a RNG stream`
 }
 
-func okDerived(name string) *rand.Rand {
-	return NewRand(DeriveSeed("component", name))
+func okDerived(name string, seed int64) *rand.Rand {
+	return NewRand(DeriveSeed("component", name, strconv.FormatInt(seed, 10)))
+}
+
+func badUnrooted(name string) *rand.Rand {
+	return NewRand(DeriveSeed("component", name)) // want `DeriveSeed names a stream without the run seed`
+}
+
+func badWrongBase(name string, seed int64) *rand.Rand {
+	return NewRand(DeriveSeed("component", name, strconv.FormatInt(seed, 16))) // want `DeriveSeed names a stream without the run seed`
+}
+
+// okSpread: a helper spreading its caller's parts leaves rooting to the
+// caller (harness.Seed, Network.Stream).
+func okSpread(parts ...string) int64 {
+	return DeriveSeed(parts...)
+}
+
+func okSeedless() *rand.Rand {
+	return NewRand(DeriveSeed("fixture")) //dmzvet:rawseed a fixed test stream, the same in every run on purpose
 }
 
 func okPassthrough(seed int64) *rand.Rand {
@@ -92,6 +113,6 @@ func okInject(a *Component) float64 { return draw(a.rng) }
 
 // okOwn: a freshly derived stream stored at construction is the
 // positive pattern.
-func okOwn(name string) *Sibling {
-	return &Sibling{rng: NewRand(DeriveSeed("sibling", name))}
+func okOwn(name string, seed int64) *Sibling {
+	return &Sibling{rng: NewRand(DeriveSeed("sibling", name, strconv.FormatInt(seed, 10)))}
 }

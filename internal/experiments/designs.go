@@ -159,9 +159,11 @@ func Fig4() *Fig4Result {
 	per := units.ByteSize(200 * units.MB)
 	start := s.Net.Now()
 	for _, d := range s.DTNs {
-		dtn.GridFTP{Streams: 2}.Start(s.RemoteDTN, d, per, func(*dtn.Result) {
+		dtn.GridFTP{Streams: 2}.Start(s.RemoteDTN, d, per, func(r *dtn.Result) {
 			done++
-			finished = s.Net.Now()
+			// The transfer's own end time: the network clock is the
+			// control clock, which lags inside a completion callback.
+			finished = max(finished, r.End)
 		})
 	}
 	s.Net.RunFor(2 * time.Minute)

@@ -32,8 +32,8 @@ func (o *overlay) Drop(now sim.Time, r *rand.Rand, p *netsim.Packet) bool {
 // ramp is the degrading-optic model: drop probability rises linearly
 // from 0 at start to Peak at start+rise, then holds. It reads the
 // simulation clock passed by the wire path — not a captured scheduler,
-// which under sharded execution would be the wrong (control) clock —
-// so it is deterministic and replayable at any shard count.
+// which could be the wrong (control) clock — so it is deterministic and
+// replayable at any shard count.
 type ramp struct {
 	start sim.Time // set at fault onset
 	rise  sim.Time // duration of the ramp, as a span

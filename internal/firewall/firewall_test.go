@@ -174,7 +174,7 @@ func TestSessionSetupDelaysFirstPacket(t *testing.T) {
 	n, c, s, _ := fwPath(cfg, units.Gbps, time.Microsecond)
 	var at time.Duration
 	s.Bind(netsim.ProtoTCP, 9, netsim.HandlerFunc(func(p *netsim.Packet) {
-		at = n.Now().Duration()
+		at = s.Now().Duration() // the server's clock: the control clock lags it inside a window
 	}))
 	c.Send(&netsim.Packet{
 		Flow: netsim.FlowKey{Src: "client", Dst: "server", SrcPort: 50000, DstPort: 9, Proto: netsim.ProtoTCP},

@@ -22,12 +22,11 @@ import (
 // hosts to a server — email, web, procurement (§2): thousands of flows,
 // none fast.
 type Business struct {
-	// Name, when set, derives the generator's RNG stream from
-	// ("flowgen/business", Name, seed) via sim.DeriveSeed, so two named
-	// generators in one simulation draw independent streams and adding
-	// one never perturbs another (the stream-derivation convention in
-	// DESIGN.md). Empty keeps the legacy derivation — the raw seed —
-	// for byte-identical compatibility with existing experiments.
+	// Name derives the generator's RNG stream from
+	// ("flowgen/business", Name, seed) via sim.DeriveSeed, so two
+	// differently named generators in one simulation draw independent
+	// streams and adding one never perturbs another (the
+	// stream-derivation convention in DESIGN.md). Empty is a name too.
 	Name string
 	// FlowsPerSecond is the Poisson arrival rate.
 	FlowsPerSecond float64
@@ -63,11 +62,7 @@ func StartBusiness(server *netsim.Host, clients []*netsim.Host, cfg Business, se
 	b.net = server.Network()
 	b.clients = clients
 	b.srv = tcp.NewServer(server, b.Port, tcp.Legacy())
-	if b.Name != "" {
-		b.rng = sim.NewRand(sim.DeriveSeed("flowgen/business", b.Name, strconv.FormatInt(seed, 10)))
-	} else {
-		b.rng = sim.NewRand(seed)
-	}
+	b.rng = sim.NewRand(sim.DeriveSeed("flowgen/business", b.Name, strconv.FormatInt(seed, 10)))
 	b.scheduleNext()
 	return b
 }

@@ -8,9 +8,9 @@ import (
 	"repro/internal/units"
 )
 
-// TestBusinessNamedStream: a named generator draws from its own derived
-// RNG stream; the unnamed path keeps the legacy seed derivation so
-// existing experiments stay byte-identical.
+// TestBusinessNamedStream: every generator draws from an RNG stream
+// derived from its name, the empty name included, so differently named
+// generators draw different realizations.
 func TestBusinessNamedStream(t *testing.T) {
 	run := func(name string) (int, units.ByteSize) {
 		n, srv, clients := campus()
@@ -30,7 +30,7 @@ func TestBusinessNamedStream(t *testing.T) {
 	}
 	// Different stream ⇒ a different (but still valid) realization.
 	if n1 == c1 && nb1 == b1 {
-		t.Errorf("named stream identical to legacy stream: completed %d bytes %v", n1, nb1)
+		t.Errorf("named stream identical to the unnamed stream: completed %d bytes %v", n1, nb1)
 	}
 	// And two different names diverge from each other too.
 	m1, mb1 := run("email")

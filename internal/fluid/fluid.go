@@ -25,11 +25,11 @@
 //     rate next tick).
 //
 // Determinism: the tick runs on the network's control scheduler, which
-// under sharded execution (internal/shard) fires only at barrier
-// windows with every shard quiesced — so hybrid runs are byte-identical
-// at any -shards N without locks, and aggregates draw from per-name
-// FNV-1a RNG streams (sim.DeriveSeed) so results do not depend on
-// registration order of unrelated components.
+// fires only at the sharded engine's barrier windows with every shard
+// quiesced — so hybrid runs are byte-identical at any -shards N without
+// locks, and aggregates draw from per-name streams rooted in the run
+// seed (netsim.Network.Stream) so results do not depend on registration
+// order of unrelated components.
 package fluid
 
 import (
@@ -88,7 +88,7 @@ type Config struct {
 type AggregateConfig struct {
 	// Name identifies the aggregate; it must be unique within the
 	// engine because the aggregate's RNG stream is derived from it
-	// (sim.DeriveSeed("fluid/aggregate", Name)).
+	// (Network.Stream("fluid/aggregate", Name)).
 	Name string
 
 	// Src, Dst are host names; the aggregate follows the routed path
@@ -240,7 +240,7 @@ func (e *Engine) Add(cfg AggregateConfig) (*Aggregate, error) {
 	}
 	a := &Aggregate{
 		cfg:        cfg,
-		rng:        sim.NewRand(sim.DeriveSeed("fluid/aggregate", cfg.Name)),
+		rng:        e.net.Stream("fluid/aggregate", cfg.Name),
 		rtt:        e.net.PathRTT(cfg.Src, cfg.Dst),
 		bottleneck: e.net.PathBottleneck(cfg.Src, cfg.Dst),
 		baseDemand: cfg.FlowsPerSecond * float64(cfg.MeanSize) * 8,

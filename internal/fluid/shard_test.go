@@ -6,22 +6,21 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/shard"
 )
 
 // TestHybridShardInvariance: the fluid tick runs on the control
 // scheduler, which fires at barrier windows with every shard quiesced,
 // so a hybrid scenario must produce byte-identical results, event
 // count included, at any shard count. The scenario bottleneck is a
-// marked cut link, so AutoPlan actually splits the dumbbell.
+// marked cut link, so the engine actually splits the dumbbell.
 func TestHybridShardInvariance(t *testing.T) {
 	sc := Scenarios()[1] // contended: elephant + background across the cut
 	sc.Warmup = 0
 	sc.Duration = 2 * time.Second
 	run := func(shards int) string {
-		prev := netsim.DefaultShardPlan
-		netsim.DefaultShardPlan = shard.AutoPlan(shards)
-		defer func() { netsim.DefaultShardPlan = prev }()
+		prev := netsim.DefaultShards
+		netsim.DefaultShards = shards
+		defer func() { netsim.DefaultShards = prev }()
 		st, eng := RunHybrid(sc)
 		if len(st.AuditErrs) != 0 {
 			t.Fatalf("shards=%d audit failed: %v", shards, st.AuditErrs)

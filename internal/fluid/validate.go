@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/sim"
 	"repro/internal/tcp"
 	"repro/internal/units"
 )
@@ -225,11 +224,11 @@ func (s *scenarioNet) startElephant() *tcp.Conn {
 	return tcp.Dial(s.ephSrc, srv, -1, tcp.TunedWith(&tcp.Cubic{}), nil)
 }
 
-// eventsProcessed counts every event the run executed: the control
-// scheduler's, plus each shard scheduler's under sharded execution.
+// eventsProcessed counts every event the run executed, on the control
+// and every shard scheduler.
 func eventsProcessed(n *netsim.Network) uint64 {
-	total := n.Sched.Processed
-	for _, s := range n.ShardSchedulers() {
+	var total uint64
+	for _, s := range n.Schedulers() {
 		total += s.Processed
 	}
 	return total
@@ -282,8 +281,9 @@ func rateOver(b units.ByteSize, d time.Duration) units.BitRate {
 
 // packetMice is the all-packet background generator: a Poisson stream
 // of legacy TCP mice, the reference the fluid model is validated
-// against. It mirrors flowgen.Business (same named-stream derivation)
-// and additionally counts dropped background bytes via the DropHook.
+// against. It mirrors flowgen.Business, drawing from its own stream
+// rooted in the scenario seed, and additionally counts dropped
+// background bytes via the DropHook.
 type packetMice struct {
 	s       *scenarioNet
 	mean    units.ByteSize
@@ -298,7 +298,7 @@ func startPacketMice(s *scenarioNet, sc Scenario, mean units.ByteSize) *packetMi
 	m := &packetMice{
 		s: s, mean: mean,
 		srv:    tcp.NewServer(s.bgServer, 80, tcp.Legacy()),
-		rng:    sim.NewRand(sim.DeriveSeed("fluid/validate", sc.Name)),
+		rng:    s.net.Stream("fluid/validate", sc.Name),
 		lambda: sc.FlowsPerSecond,
 	}
 	s.net.DropHook = func(pkt *netsim.Packet, _ netsim.DropSite) {

@@ -103,11 +103,9 @@ type Device struct {
 	forwarder   Forwarder
 	interceptor Interceptor
 
-	// Shard-count-invariant packet IDs for in-network origination,
-	// mirroring Host: when idBase is nonzero (ApplyShards sets it from
-	// the device's rank in sorted name order, in a namespace disjoint
-	// from the hosts'), Originate stamps IDs from the device's own
-	// counter instead of the network's shared one.
+	// Packet IDs for in-network origination, as on Host: Originate
+	// stamps them from the device's own counter in the namespace of its
+	// registration rank.
 	idBase, idSeq uint64
 
 	// Degraded reports whether a cut-through device has fallen back to
@@ -155,8 +153,7 @@ func (d *Device) Interceptor() Interceptor { return d.interceptor }
 // Network returns the network the device belongs to.
 func (d *Device) Network() *Network { return d.net }
 
-// Now returns the device's simulation clock: its shard scheduler's
-// under sharded execution, the network scheduler's otherwise.
+// Now returns the device's simulation clock: its shard scheduler's.
 // Interceptor code stamping times must use this, never Network.Sched.
 func (d *Device) Now() sim.Time { return d.ctx.sched.Now() }
 
@@ -174,8 +171,8 @@ func (d *Device) NewPacket() *Packet { return d.ctx.pool.get() }
 func (d *Device) ReleasePacket(p *Packet) { d.ctx.pool.put(p) }
 
 // TraceBus returns the bus the device's interceptor should emit trace
-// events to: the shard capture bus under sharded execution, the
-// network's live bus otherwise. Nil-receiver-safe via Bus.Enabled.
+// events to: its shard's capture bus when the network is traced.
+// Nil-receiver-safe via Bus.Enabled.
 func (d *Device) TraceBus() *telemetry.Bus { return d.ctx.tracebus(d.net) }
 
 // Originate stamps a device-created packet (an interceptor's reply) and
@@ -186,12 +183,8 @@ func (d *Device) TraceBus() *telemetry.Bus { return d.ctx.tracebus(d.net) }
 //
 //dmz:hotpath
 func (d *Device) Originate(pkt *Packet, out *Port) {
-	if d.idBase != 0 {
-		d.idSeq++
-		pkt.ID = d.idBase | d.idSeq
-	} else {
-		pkt.ID = d.net.nextPacketID()
-	}
+	d.idSeq++
+	pkt.ID = d.idBase | d.idSeq
 	pkt.SentAt = d.ctx.sched.Now()
 	d.net.originated.Add(1)
 	out.Send(pkt)

@@ -42,7 +42,7 @@ const maxFluidShare = 0.95
 //
 // Mutation discipline: only the fluid engine's control-plane tick
 // writes these fields, and control events run with every shard
-// quiesced (see internal/shard), so the packet path may read them
+// quiesced (see engine.go), so the packet path may read them
 // without synchronization at any shard count.
 // The //dmzvet:ledger tags declare the conservation column to dmzvet's
 // ledgerbalance analyzer: every path that moves one column field must
@@ -142,7 +142,7 @@ func (p *Port) auditFluid() []error {
 // port (hop-bytes), mirroring how the packet ledger's port counters
 // work.
 func (n *Network) FluidLedger() (offered, delivered, dropped, queued units.ByteSize) {
-	for _, name := range n.sortedNodeNames() {
+	for _, name := range n.NodeNames() {
 		for _, p := range n.nodes[name].Ports() {
 			if f := p.fluid; f != nil {
 				offered += f.Offered

@@ -32,10 +32,9 @@ type Host struct {
 	fib      map[string]*Port // destination host -> egress port
 	nextPort uint16
 
-	// Shard-count-invariant packet IDs: when idBase is nonzero
-	// (ApplyShards sets it from the host's rank in sorted name order) the
-	// host stamps IDs from its own counter instead of the network's
-	// shared one, whose interleaving would depend on the partition.
+	// Packet IDs: the host stamps them from its own counter in the
+	// namespace of its registration rank (Network.idBase), so they never
+	// depend on the partition.
 	idBase, idSeq uint64
 }
 
@@ -90,12 +89,8 @@ func (h *Host) Receive(pkt *Packet, _ *Port) {
 // host's routing table. Packets to unknown destinations are dropped and
 // counted.
 func (h *Host) Send(pkt *Packet) {
-	if h.idBase != 0 {
-		h.idSeq++
-		pkt.ID = h.idBase | h.idSeq
-	} else {
-		pkt.ID = h.net.nextPacketID()
-	}
+	h.idSeq++
+	pkt.ID = h.idBase | h.idSeq
 	pkt.SentAt = h.ctx.sched.Now()
 	h.net.injected.Add(1)
 	out, ok := h.fib[pkt.Flow.Dst]
@@ -106,9 +101,9 @@ func (h *Host) Send(pkt *Packet) {
 	out.Send(pkt)
 }
 
-// Now returns the host's simulation clock: its shard scheduler's under
-// sharded execution, the network scheduler's otherwise. Transport code
-// stamping times on the data path must use this, never Network.Sched.
+// Now returns the host's simulation clock: its shard scheduler's.
+// Transport code stamping times on the data path must use this, never
+// Network.Now, which lags behind shard time between barriers.
 func (h *Host) Now() sim.Time { return h.ctx.sched.Now() }
 
 // NewPacket allocates from the host's execution context's free-list.
@@ -123,9 +118,9 @@ func (h *Host) NewPacket() *Packet { return h.ctx.pool.get() }
 func (h *Host) ReleasePacket(p *Packet) { h.ctx.pool.put(p) }
 
 // TraceBus returns the bus the host's transport should emit trace events
-// to: the shard capture bus under sharded execution (merged canonically
-// at barriers), the network's live bus otherwise. Nil-receiver-safe via
-// Bus.Enabled like Network.TraceBus.
+// to: its shard's capture bus when the network is traced (merged
+// canonically at barriers). Nil-receiver-safe via Bus.Enabled like
+// Network.TraceBus.
 func (h *Host) TraceBus() *telemetry.Bus { return h.ctx.tracebus(h.net) }
 
 // PortBinding names a bound transport service on a host.

@@ -147,15 +147,8 @@ func (n *Network) AuditInvariants() []error {
 	if n.Sched.ClockRegressions > 0 {
 		errs = append(errs, fmt.Errorf("simulation clock regressed %d times", n.Sched.ClockRegressions))
 	}
-	for i, sc := range n.shardCtxs {
-		if sc.sched.ClockRegressions > 0 {
-			errs = append(errs, fmt.Errorf("shard %d clock regressed %d times", i+1, sc.sched.ClockRegressions))
-		}
-	}
-	// Extra auditors (the sharded engine registers ring-occupancy and
-	// shard-clock-agreement checks here).
-	for _, fn := range n.auditors {
-		errs = append(errs, fn()...)
+	if n.engine != nil {
+		errs = append(errs, n.engine.audit()...)
 	}
 	return errs
 }

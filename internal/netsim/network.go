@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"strconv"
 	"sync"
@@ -42,31 +41,29 @@ type LinkConfig struct {
 	QueueA, QueueB units.ByteSize
 }
 
-// Network owns a simulated topology: the scheduler, nodes, and links.
-//
-// Under sharded execution (internal/shard), Sched becomes the *control*
-// scheduler — tickers, fault transitions, monitors — while node events
-// run on per-shard schedulers; see shard.go. Unsharded networks run
-// everything on Sched exactly as before.
+// Network owns a simulated topology: the control scheduler, nodes, and
+// links. It runs on the sharded engine (engine.go): node events execute
+// on per-shard schedulers, and Sched is the *control* scheduler —
+// tickers, fault transitions, monitors — whose events run only at
+// engine barriers; see shard.go.
 type Network struct {
 	Sched *sim.Scheduler
 
-	rng     *rand.Rand
+	seed    int64 // the run seed every Stream is rooted in
 	nodes   map[string]Node
 	hostSet map[string]*Host
 	links   []*Link
-	nextID  uint64
 
 	// DropStats tallies every packet the network destroyed, by
 	// structured (reason, location) site. It is experiment bookkeeping —
 	// the ground truth for soft failures — not something devices can
-	// see. It is guarded by dropMu: under sharded execution drops arrive
-	// from several shard goroutines whose per-site increments commute.
+	// see. It is guarded by dropMu: drops arrive from several shard
+	// goroutines whose per-site increments commute.
 	DropStats map[DropSite]uint64
 
 	// DropHook, when set, observes every dropped packet. Tests use it to
 	// assert on loss behaviour. It is invoked under dropMu, so hooks are
-	// serialized even under sharded execution.
+	// serialized across shards.
 	DropHook func(pkt *Packet, site DropSite)
 
 	dropMu sync.Mutex
@@ -95,14 +92,10 @@ type Network struct {
 	absorbed   atomic.Uint64
 
 	// ctl is the control execution context: scheduler Sched, the
-	// network-level packet free-list, rank 0. Node and port contexts
-	// alias it until ApplyShards installs a partition.
-	ctl       *shardCtx
-	shardCtxs []*shardCtx
-
-	runner      Runner
-	planApplied bool
-	auditors    []func() []error
+	// network-level packet free-list, rank 0. Nodes hold it until the
+	// engine installs its partition.
+	ctl    *shardCtx
+	engine *Engine // nil until the first run or InstallShards
 
 	// Telemetry wiring. bus is nil until AttachTelemetry; all emit
 	// sites guard with bus.Enabled(), which is nil-receiver-safe, so a
@@ -117,7 +110,8 @@ type Network struct {
 // experiment code that constructs its own networks internally.
 var DefaultTelemetry *telemetry.Telemetry
 
-// New creates an empty network with a deterministic random stream.
+// New creates an empty network whose random streams are rooted in seed
+// (see Stream).
 func New(seed int64) *Network {
 	n := NewIsolated(seed)
 	if DefaultTelemetry != nil {
@@ -133,7 +127,7 @@ func New(seed int64) *Network {
 func NewIsolated(seed int64) *Network {
 	n := &Network{
 		Sched:     sim.New(),
-		rng:       sim.NewRand(seed),
+		seed:      seed,
 		nodes:     make(map[string]Node),
 		hostSet:   make(map[string]*Host),
 		DropStats: make(map[DropSite]uint64),
@@ -144,17 +138,19 @@ func NewIsolated(seed int64) *Network {
 
 // AttachTelemetry wires the network into a telemetry plane: trace
 // events flow to t.Bus, the network's state becomes visible to
-// registry snapshots via a collector, the scheduler is instrumented,
+// registry snapshots via a collector, the schedulers are instrumented,
 // and — when t.SampleInterval is set — a sampler starts on this
-// network's scheduler.
+// network's control scheduler.
 //
 // Attaching a later network to the same Telemetry supersedes the
 // earlier one's scheduler gauges and state collector (keyed
-// registration), which is what sequential experiment runs want.
+// registration), which is what sequential experiment runs want. Attach
+// before the first run, so the engine captures trace events for its
+// canonical merge.
 func (n *Network) AttachTelemetry(t *telemetry.Telemetry) {
 	n.tele = t
 	n.bus = t.Bus
-	telemetry.InstrumentScheduler(t.Registry, n.Sched)
+	telemetry.InstrumentScheduler(t.Registry, n.Schedulers)
 	t.Registry.RegisterCollector("netsim", n.collectMetrics)
 	if t.SampleInterval > 0 {
 		n.sampler = t.StartSampler(n.Sched, t.SampleInterval)
@@ -243,6 +239,7 @@ func (n *Network) NewHost(name string) *Host {
 	h := &Host{
 		NodeBase: NodeBase{name: name},
 		net:      n,
+		idBase:   n.idBase(),
 		handlers: make(map[protoPort]Handler),
 		fib:      make(map[string]*Port),
 	}
@@ -260,11 +257,16 @@ func (n *Network) NewDevice(name string, cfg DeviceConfig) *Device {
 		NodeBase: NodeBase{name: name},
 		Config:   cfg,
 		net:      n,
+		idBase:   n.idBase(),
 		fib:      make(map[string]*Port),
 	}
 	n.register(name, d)
 	return d
 }
+
+// idBase namespaces the packet IDs a new node stamps by its
+// registration rank, so IDs never depend on which shard runs the node.
+func (n *Network) idBase() uint64 { return uint64(len(n.nodes)+1) << 40 }
 
 // Node returns a registered node by name, or nil.
 func (n *Network) Node(name string) Node { return n.nodes[name] }
@@ -284,6 +286,16 @@ func (n *Network) Hosts() []*Host {
 		hosts[i] = n.hostSet[name]
 	}
 	return hosts
+}
+
+// NodeNames returns every registered node name, sorted.
+func (n *Network) NodeNames() []string {
+	names := make([]string, 0, len(n.nodes))
+	for name := range n.nodes {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Links returns all links in creation order.
@@ -314,6 +326,11 @@ func (n *Network) Connect(a, b Node, cfg LinkConfig) *Link {
 	pa := &Port{Owner: a, Link: l, QueueCap: n.defaultQueue(a, cfg.Rate, cfg.QueueA), net: n, ctx: n.sctx(a)}
 	pb := &Port{Owner: b, Link: l, QueueCap: n.defaultQueue(b, cfg.Rate, cfg.QueueB), net: n, ctx: n.sctx(b)}
 	pa.peer, pb.peer = pb, pa
+	// Each direction draws wire loss from its own stream, named by the
+	// link's creation index, so draws never depend on how shards
+	// interleave links.
+	li := strconv.Itoa(len(n.links))
+	pa.lossRNG, pb.lossRNG = n.Stream("netsim/wire", li, "a"), n.Stream("netsim/wire", li, "b")
 	pa.arrivals = pa.ctx.sched.NewLine(tagLink, 0, deliverCall, pa)
 	pb.arrivals = pb.ctx.sched.NewLine(tagLink, 0, deliverCall, pb)
 	l.A, l.B = pa, pb
@@ -343,11 +360,6 @@ func (n *Network) defaultQueue(node Node, rate units.BitRate, override units.Byt
 		buf = cap
 	}
 	return buf
-}
-
-func (n *Network) nextPacketID() uint64 {
-	n.nextID++
-	return n.nextID
 }
 
 // countDrop is the single drop-accounting sink. sc is the execution
@@ -584,27 +596,13 @@ func (n *Network) PathMTU(src, dst string) int {
 	return mtu
 }
 
-// Run executes the simulation until no events remain. When a shard plan
-// is installed (DefaultShardPlan / SetRunner), the sharded engine runs
-// the event loop instead of the network scheduler.
-func (n *Network) Run() {
-	n.ensureRunner()
-	if n.runner != nil {
-		n.runner.Run()
-		return
-	}
-	n.Sched.Run()
-}
+// Run executes the simulation until no events remain.
+func (n *Network) Run() { n.engineToRun().run(-1) }
 
 // RunFor advances the simulation by d.
-func (n *Network) RunFor(d time.Duration) {
-	n.ensureRunner()
-	if n.runner != nil {
-		n.runner.RunFor(d)
-		return
-	}
-	n.Sched.RunFor(d)
-}
+func (n *Network) RunFor(d time.Duration) { n.engineToRun().run(n.Sched.Now().Add(d)) }
 
-// Now returns the current simulation time.
+// Now returns the control clock: the time of the last engine barrier.
+// Between barriers it lags the shards, so data-path code — anything
+// running inside a node's events — must read Host.Now or Port.Now.
 func (n *Network) Now() sim.Time { return n.Sched.Now() }

@@ -36,11 +36,11 @@ func (n *NodeBase) Name() string { return n.name }
 // Ports implements Node.
 func (n *NodeBase) Ports() []*Port { return n.ports }
 
-// EventScheduler returns the scheduler the node's events execute on: the
-// network scheduler normally, the node's shard scheduler under sharded
-// execution. Node-affine model code (transport timers, firewall service
-// loops) must schedule here, never on Network.Sched directly — events on
-// Network.Sched run only at engine barriers when the network is sharded.
+// EventScheduler returns the scheduler the node's events execute on: its
+// shard scheduler once the engine installs, the control scheduler
+// before. Node-affine model code (transport timers, firewall service
+// loops) must schedule here, never on Network.Sched directly — events
+// on Network.Sched run only at engine barriers.
 func (n *NodeBase) EventScheduler() *sim.Scheduler {
 	if n.ctx == nil {
 		return nil

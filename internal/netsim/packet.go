@@ -13,6 +13,12 @@
 // loss) before handing the packet to the far end. This is sufficient to
 // reproduce every congestion pathology in the paper — firewall buffer
 // overflow, switch fan-in, bursty TCP — without modelling switch fabrics.
+//
+// Every network runs on one event loop, a conservative parallel engine
+// (engine.go, partition.go, ring.go, shard.go): the topology is cut at
+// its long-delay boundary links into domains that run on one or more
+// shard schedulers in lockstep windows, and the output is identical at
+// any shard count.
 package netsim
 
 import (

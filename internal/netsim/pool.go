@@ -96,7 +96,7 @@ func (n *Network) ReleasePacket(p *Packet) { n.ctl.pool.put(p) }
 // never export it into golden metrics.
 func (n *Network) PacketsReused() uint64 {
 	total := n.ctl.pool.reused
-	for _, sc := range n.shardCtxs {
+	for _, sc := range n.engineShards() {
 		total += sc.pool.reused
 	}
 	return total

@@ -72,7 +72,8 @@ type Port struct {
 	capFloor units.ByteSize
 
 	// ctx is the owner's execution context (shard scheduler + capture
-	// bus); it aliases the network's control context when unsharded.
+	// bus); it is the network's control context until the engine
+	// installs.
 	ctx *shardCtx
 
 	// arrivals is the delay line of packets propagating toward this
@@ -81,15 +82,15 @@ type Port struct {
 	// the peer's (see below).
 	arrivals *sim.Line
 
-	// Sharded-execution state (see shard.go): on a cut-candidate link
-	// this port orders its transmissions on lane with laneSeq, and — when
-	// the peer lives on another shard — hands them to the xq ring instead
-	// of pushing them onto the peer's arrivals line. lossRNG, when set,
-	// replaces the network's shared stream for wire-loss draws with a
-	// per-port stream whose draw order cannot depend on the shard count.
+	// Sharded-execution state (see engine.go): on a cut link this port
+	// orders its transmissions on lane with laneSeq, and — when the peer
+	// lives on another shard — hands them to the xq ring instead of
+	// pushing them onto the peer's arrivals line. lossRNG is the port's
+	// own wire-loss stream (Network.Stream), so its draw order cannot
+	// depend on the shard count.
 	lane    uint32
 	laneSeq uint64
-	xq      CrossQueue
+	xq      *Ring
 	lossRNG *rand.Rand
 
 	// fluid, when non-nil, couples the port to the hybrid fluid engine
@@ -110,10 +111,10 @@ func (p *Port) Rate() units.BitRate { return p.Link.Rate }
 // AddTap attaches a passive observer to this port.
 func (p *Port) AddTap(t TapFunc) { p.taps = append(p.taps, t) }
 
-// Now returns the port's execution-context clock — the shard scheduler
-// under sharded execution, the network scheduler otherwise. Tap-fed
-// analyzers (the IDS) must stamp observations with this, not the
-// network clock, which lags behind shard time between barriers.
+// Now returns the port's execution-context clock — its shard
+// scheduler's. Tap-fed analyzers (the IDS) must stamp observations with
+// this, not the network clock, which lags behind shard time between
+// barriers.
 func (p *Port) Now() sim.Time { return p.ctx.sched.Now() }
 
 // QueueLen returns the number of packets waiting in the egress queues,
@@ -351,11 +352,7 @@ func (l *Link) carry(from *Port, pkt *Packet) {
 		return
 	}
 	if l.Loss != nil {
-		rng := from.lossRNG
-		if rng == nil {
-			rng = l.net.rng
-		}
-		if l.Loss.Drop(sc.sched.Now(), rng, pkt) {
+		if l.Loss.Drop(sc.sched.Now(), from.lossRNG, pkt) {
 			l.net.countDrop(sc, pkt, DropWireLoss, l.describe(), "")
 			return
 		}
@@ -372,7 +369,7 @@ func (l *Link) carry(from *Port, pkt *Packet) {
 	// the delivery onto the peer's line at its barrier drain.
 	from.laneSeq++
 	if from.xq != nil {
-		from.xq.Push(to, pkt, at, from.laneSeq)
+		from.xq.Push(pkt, at, from.laneSeq)
 		return
 	}
 	to.arrivals.PushLane(from.laneSeq, at, pkt)

@@ -1,54 +1,53 @@
 package netsim
 
-// Sharded-execution support: the netsim side of the conservative
-// parallel engine in internal/shard.
+// Sharded execution: the state the barrier-window engine (engine.go)
+// threads through nodes and ports.
 //
-// A Network normally runs every node on its single scheduler (n.Sched).
-// Under sharded execution the topology is partitioned into domains at
-// configured cut links; each domain's nodes execute on a private
-// per-shard scheduler while n.Sched is demoted to the *control*
-// scheduler: tickers, fault transitions, monitors, and samplers stay on
-// it, and the engine runs control events only at synchronization
-// barriers with every shard quiesced at exactly the control clock. That
-// split is what lets all existing experiment code shard transparently —
-// anything scheduled on n.Sched observes the same globally consistent
-// states it always did.
+// Every network runs on the engine. The topology is partitioned into
+// domains at its cut links (partition.go); each domain's nodes execute
+// on a per-shard scheduler while n.Sched is the *control* scheduler:
+// tickers, fault transitions, monitors, and samplers stay on it, and
+// the engine runs control events only at synchronization barriers with
+// every shard quiesced at exactly the control clock. That split is what
+// lets experiment code run unchanged at any shard count — anything
+// scheduled on n.Sched observes one globally consistent state.
 //
-// This file owns the plumbing the engine needs:
+// Output is a pure function of the event history, never of the
+// partition:
 //
-//   - shardCtx: the execution context cached on every node and port —
-//     scheduler, trace-capture bus, packet free-list, shard rank.
-//     Unsharded networks have exactly one (the control context), so the
-//     hot path is identical with and without sharding.
-//   - ApplyShards: installs a partition — reassigns node/port contexts,
-//     arms cut-link ports with cross-shard queues and ordering lanes,
-//     and switches ID/RNG derivation to shard-count-invariant streams.
-//   - ScheduleLaneDelivery: the barrier-drain entry point that pushes a
-//     ring entry onto the destination port's arrivals line, keyed by
-//     (lane, seq) so execution order is byte-identical at any shard
-//     count.
+//   - packet IDs come from per-node counters namespaced by the node's
+//     registration rank;
+//   - wire-loss draws come from per-port streams named by link creation
+//     index and direction and rooted in the run seed (Network.Stream);
+//   - deliveries over a cut link are ordered by (lane, seq), lanes
+//     derived from the link's creation index;
+//   - trace events are merged canonically at each barrier.
 
 import (
-	"fmt"
-	"sort"
+	"math/rand"
 	"strconv"
-	"time"
 
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
 // shardCtx is one execution domain's context. Every node and port caches
-// a pointer to its domain's context; the unsharded network has a single
-// control context whose scheduler is n.Sched, so legacy behaviour falls
-// out of the same code path.
+// a pointer to its domain's context. The control context (scheduler
+// n.Sched, rank 0) holds nodes until the engine installs, and any node
+// registered after that.
 type shardCtx struct {
 	sched *sim.Scheduler
-	// bus is the domain's trace-capture bus under sharded execution, or
-	// nil to fall through to the network's live bus (the unsharded path).
+	// bus is the domain's trace-capture bus while a traced network runs
+	// on the engine, or nil to fall through to the network's live bus.
 	bus  *telemetry.Bus
 	pool pktPool
-	rank int // 0 = control/unsharded; shards are 1..N
+	rank int // 0 = control; shards are 1..N
+
+	// Engine state for shard contexts: the trace capture behind bus and
+	// the worker handshake channels (nil for a single shard).
+	cap   *capture
+	start chan sim.Time
+	done  chan struct{}
 }
 
 // tracebus resolves the bus trace events from this context go to.
@@ -69,204 +68,40 @@ func (n *Network) sctx(node Node) *shardCtx {
 	return n.ctl
 }
 
-// CrossQueue carries packets across a cut link from the sending shard to
-// the receiving shard. internal/shard implements it as an SPSC ring; the
-// producer side is the sending port's serialization path, the consumer
-// side is the engine's barrier drain. Push must not allocate — it is on
-// the cross-shard packet hot path. Len reports the packets parked in
-// the queue, for the conservation ledger; it is called only while the
-// producer is parked.
-type CrossQueue interface {
-	Push(to *Port, pkt *Packet, at sim.Time, seq uint64)
-	Len() int
+// Stream returns a random stream private to one component: seeded from
+// sim.DeriveSeed(kind, <run seed>, parts...), so it is independent of
+// every other component's stream and of the order components are
+// built, and a different run seed gives a different stream.
+func (n *Network) Stream(kind string, parts ...string) *rand.Rand {
+	return sim.NewRand(sim.DeriveSeed(append([]string{kind, strconv.FormatInt(n.seed, 10)}, parts...)...))
 }
 
-// ShardDef assigns a set of nodes to one shard scheduler. The engine
-// builds one per domain; Rank is the 1-based shard rank used for
-// deterministic ordering and ID derivation.
-type ShardDef struct {
-	Rank  int
-	Nodes []string
-	Sched *sim.Scheduler
-	// Bus, when non-nil, captures the shard's trace events for canonical
-	// merging at barriers. Nil when the network has no trace bus.
-	Bus *telemetry.Bus
-}
-
-// CutDef arms one cut-candidate link with ordering lanes and, when its
-// ends live on different shards, cross-shard queues. Lanes must be
-// derived from shard-count-invariant link identity (the engine uses the
-// link's creation index), never from the partition.
-type CutDef struct {
-	Link *Link
-	// LaneAB orders packets sent from the A-side port toward B; LaneBA
-	// the reverse direction. Both must be nonzero and globally unique.
-	LaneAB, LaneBA uint32
-	// AtoB / BtoA are the cross-shard queues for each direction, nil when
-	// both ends land on the same shard (the lane keys still apply, so the
-	// delivery order is identical whether or not the link was actually
-	// cut).
-	AtoB, BtoA CrossQueue
-}
-
-// ErrShardCoverage reports a partition that does not cover the node set
-// exactly.
-type ErrShardCoverage struct{ Node, Problem string }
-
-func (e *ErrShardCoverage) Error() string {
-	return fmt.Sprintf("netsim: shard partition: node %q %s", e.Node, e.Problem)
-}
-
-// ApplyShards installs a partition on the network: every listed node
-// (and its ports) is reassigned to its shard's context, cut links are
-// armed, and packet-ID / loss-RNG derivation switches to per-host and
-// per-port streams that do not depend on the shard count. controlBus,
-// when non-nil, replaces the control context's live bus with a capture
-// bus so control-plane emissions merge canonically with shard events.
-//
-// The node lists must cover the network's nodes exactly once;
-// ErrShardCoverage reports any violation. Call at most once, before the
-// first event runs: every port's arrivals line is rebuilt on its new
-// scheduler, so no packet may be on a wire yet.
-func (n *Network) ApplyShards(shards []ShardDef, cuts []CutDef, controlBus *telemetry.Bus) error {
-	seen := make(map[string]bool, len(n.nodes))
-	for _, sd := range shards {
-		for _, name := range sd.Nodes {
-			if _, ok := n.nodes[name]; !ok {
-				return &ErrShardCoverage{Node: name, Problem: "not in the network"}
-			}
-			if seen[name] {
-				return &ErrShardCoverage{Node: name, Problem: "assigned to two shards"}
-			}
-			seen[name] = true
-		}
-	}
-	for name := range n.nodes {
-		if !seen[name] {
-			return &ErrShardCoverage{Node: name, Problem: "missing from the partition"}
-		}
-	}
-
-	if controlBus != nil {
-		n.ctl.bus = controlBus
-	}
-	// Timers armed so far stay on the control scheduler while their
-	// owners move to shards, whose workers may cancel them concurrently.
-	n.Sched.SetShared()
-	for i := range shards {
-		sd := &shards[i]
-		sc := &shardCtx{sched: sd.Sched, bus: sd.Bus, rank: sd.Rank}
-		n.shardCtxs = append(n.shardCtxs, sc)
-		for _, name := range sd.Nodes {
-			n.nodes[name].setShard(sc)
-		}
-	}
-
-	// Shard-count-invariant packet IDs: each host stamps IDs from its own
-	// counter, namespaced by the host's rank in sorted name order. The
-	// shared nextID counter would interleave differently at different
-	// shard counts.
-	hosts := n.Hosts()
-	for i, h := range hosts {
-		h.idBase = (uint64(i) + 1) << 40
-	}
-
-	// Devices that originate traffic in-network (interceptors such as
-	// content caches) stamp IDs the same way, from their rank in sorted
-	// device-name order. Bit 60 keeps the namespace disjoint from the
-	// hosts' — host ranks never reach 2^20.
-	var devs []string
-	for name, node := range n.nodes {
-		if _, ok := node.(*Device); ok {
-			devs = append(devs, name)
-		}
-	}
-	sort.Strings(devs)
-	for i, name := range devs {
-		n.nodes[name].(*Device).idBase = 1<<60 | uint64(i)<<40
-	}
-
-	// Shard-count-invariant wire-loss randomness: each port draws from a
-	// stream derived from (link creation index, direction) instead of the
-	// network's shared stream, whose draw order would depend on how the
-	// partition interleaves links.
-	for li, l := range n.links {
-		l.A.lossRNG = sim.NewRand(sim.DeriveSeed("netsim/wire", strconv.Itoa(li), "a"))
-		l.B.lossRNG = sim.NewRand(sim.DeriveSeed("netsim/wire", strconv.Itoa(li), "b"))
-	}
-
-	for _, c := range cuts {
-		if c.LaneAB == 0 || c.LaneBA == 0 {
-			return &ErrShardCoverage{Node: c.Link.describe(), Problem: "cut link with zero lane"}
-		}
-		c.Link.A.lane, c.Link.A.xq = c.LaneAB, c.AtoB
-		c.Link.B.lane, c.Link.B.xq = c.LaneBA, c.BtoA
-	}
-
-	// Each port's arrivals line moves to the port's shard scheduler and
-	// takes the lane its peer sends on (0 on an uncut link).
-	for _, l := range n.links {
-		for _, p := range [2]*Port{l.A, l.B} {
-			p.arrivals = p.ctx.sched.NewLine(tagLink, p.peer.lane, deliverCall, p)
-		}
-	}
-	return nil
-}
-
-// ScheduleLaneDelivery pushes a drained cross-shard ring entry onto the
-// destination port's arrivals line: the packet is delivered at its
-// precomputed arrival time, ordered by the cut link's (lane, seq) key.
-// Only the engine's barrier drain calls this, with the destination
-// shard quiesced.
-func (n *Network) ScheduleLaneDelivery(to *Port, pkt *Packet, at sim.Time, seq uint64) {
-	to.arrivals.PushLane(seq, at, pkt)
-}
-
-// Runner replaces the network's run loop. The sharded engine installs
-// itself here; Network.Run / RunFor delegate when set.
-type Runner interface {
-	Run()
-	RunFor(d time.Duration)
-}
-
-// SetRunner installs a replacement run loop (the sharded engine).
-func (n *Network) SetRunner(r Runner) { n.runner = r }
-
-// DefaultShardPlan, when non-nil, is invoked once per network at its
-// first Run/RunFor, before any event executes. Command-line tools set it
-// (via internal/shard's planner) to thread a -shards flag through
-// experiment code that constructs networks internally — the same
-// mechanism DefaultTelemetry uses for -trace/-metrics.
-var DefaultShardPlan func(*Network)
-
-func (n *Network) ensureRunner() {
-	if n.planApplied {
-		return
-	}
-	n.planApplied = true
-	if DefaultShardPlan != nil {
-		DefaultShardPlan(n)
-	}
-}
-
-// AddAuditor registers an extra invariant check to run during
-// AuditInvariants. The sharded engine registers its ring-occupancy and
-// shard-clock checks here so the conservation audit holds under
-// sharding.
-func (n *Network) AddAuditor(fn func() []error) {
-	n.auditors = append(n.auditors, fn)
-}
-
-// ShardSchedulers returns the per-shard schedulers in rank order, or nil
-// when the network is unsharded. Telemetry aggregation uses it to export
-// shard kernel totals (sums are shard-count-invariant; per-shard series
-// would not be).
+// ShardSchedulers returns the per-shard schedulers in rank order; none
+// before the engine installs.
 func (n *Network) ShardSchedulers() []*sim.Scheduler {
-	out := make([]*sim.Scheduler, 0, len(n.shardCtxs))
-	for _, sc := range n.shardCtxs {
+	return n.Schedulers()[1:]
+}
+
+// Schedulers returns every scheduler the network runs events on: the
+// control scheduler first, then the shard schedulers in rank order.
+// Totals over them — events processed, pending, per-component counts —
+// are the same at any shard count, since every event executes exactly
+// once on some scheduler.
+func (n *Network) Schedulers() []*sim.Scheduler {
+	out := []*sim.Scheduler{n.Sched}
+	for _, sc := range n.engineShards() {
 		out = append(out, sc.sched)
 	}
 	return out
+}
+
+// engineShards returns the shard contexts in rank order; none before
+// the engine installs.
+func (n *Network) engineShards() []*shardCtx {
+	if n.engine == nil {
+		return nil
+	}
+	return n.engine.shards
 }
 
 // MarkCut flags the link as a preferred partition boundary. Topology
@@ -300,17 +135,3 @@ func (l *Link) Cuttable() bool {
 	}
 	return false
 }
-
-// sortedNodeNames returns every node name in sorted order — the
-// deterministic iteration the partitioner builds domains from.
-func (n *Network) sortedNodeNames() []string {
-	names := make([]string, 0, len(n.nodes))
-	for name := range n.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// NodeNames returns every registered node name, sorted.
-func (n *Network) NodeNames() []string { return n.sortedNodeNames() }

@@ -91,8 +91,8 @@ type owampReceiver struct {
 // ensureReceiver registers probe-stream state for a sender and starts
 // the control-plane flush ticker that buckets it into the archive. It
 // must run in control context (session setup), never from packet
-// delivery: under sharded execution owampDeliver executes on the
-// receiving host's shard, which must not touch the control scheduler.
+// delivery: owampDeliver executes on the receiving host's shard, which
+// must not touch the control scheduler.
 func (t *Toolkit) ensureReceiver(sender string) *owampReceiver {
 	r := t.receive[sender]
 	if r == nil {

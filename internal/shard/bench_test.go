@@ -13,33 +13,30 @@ import (
 )
 
 // benchTransfer runs one Figure-3-shaped GridFTP transfer over a simple
-// DMZ topology at the given shard count (0 = the classic unsharded
-// path), returning the event count so rates can be reported.
+// DMZ topology at the given shard count, returning the event count so
+// rates can be reported.
 func benchTransfer(shards int) uint64 {
 	d := topo.NewSimpleDMZ(11, topo.SimpleDMZConfig{})
-	if shards >= 1 {
-		if _, err := Install(d.Net, shards); err != nil {
-			panic(err)
-		}
+	if _, err := Install(d.Net, shards); err != nil {
+		panic(err)
 	}
 	dtn.GridFTP{Streams: 4}.Start(d.RemoteDTN, d.DTN, 32*units.MB, nil)
 	d.Net.RunFor(2 * time.Second)
-	total := d.Net.Sched.Processed
-	for _, s := range d.Net.ShardSchedulers() {
+	var total uint64
+	for _, s := range d.Net.Schedulers() {
 		total += s.Processed
 	}
 	return total
 }
 
 // BenchmarkEngineShards measures the sharded engine end to end — topology
-// build, partition, barrier-window run loop — against the classic path
-// (shards=0) and at shard counts 1, 2, and 4. Every variant executes the
-// same logical transfer; EventRate in events/sec is reported as a custom
-// metric. On a single-CPU runner the multi-shard variants measure pure
+// build, partition, barrier-window run loop — at shard counts 1, 2, and
+// 4. Every variant executes the same logical transfer; EventRate in
+// events/sec is reported as a custom metric. On a single-CPU runner the multi-shard variants measure pure
 // synchronization overhead (the worker goroutines time-slice one core);
 // on multi-core hardware they measure actual speedup.
 func BenchmarkEngineShards(b *testing.B) {
-	for _, shards := range []int{0, 1, 2, 4} {
+	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			var events uint64
 			b.ReportAllocs()

@@ -3,13 +3,16 @@ package shard
 import (
 	"fmt"
 	"os"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/dtn"
 	"repro/internal/experiments"
 	"repro/internal/fault"
+	"repro/internal/fluid"
 	"repro/internal/netsim"
+	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/topo"
 	"repro/internal/units"
@@ -21,19 +24,20 @@ import (
 // the full trace event stream, exported metrics, and the packet
 // conservation ledger. Shard count 1 is the single-threaded reference:
 // it runs the identical engine code path (barrier windows, lanes,
-// canonical merge) on one scheduler with no worker goroutines.
+// canonical merge) on one scheduler with no worker goroutines, and is
+// the default every network runs at.
 
 // equivalenceCounts are the shard counts every scenario must agree on.
 var equivalenceCounts = []int{1, 2, 4}
 
-// withPlan runs fn with AutoPlan(n) installed as the process default,
+// withPlan runs fn with n as the process-default shard count,
 // restoring the previous default afterwards. The suite relies on the
 // package's tests running sequentially (no t.Parallel) because the
-// default plan is process-global — exactly how the -shards flag works.
+// default is process-global — exactly how the -shards flag works.
 func withPlan(n int, fn func()) {
-	prev := netsim.DefaultShardPlan
-	netsim.DefaultShardPlan = AutoPlan(n)
-	defer func() { netsim.DefaultShardPlan = prev }()
+	prev := netsim.DefaultShards
+	netsim.DefaultShards = n
+	defer func() { netsim.DefaultShards = prev }()
 	fn()
 }
 
@@ -254,42 +258,126 @@ func longerOf(a, b []telemetry.Event) []telemetry.Event {
 
 // TestEquivalenceLossyCutDrops drives wire loss on both directions of
 // the cut WAN links at once, so each direction's drops are counted from
-// its own shard's goroutine. Per-link wire-loss tallies and every drop
-// site must agree at every shard count, and the links' tallies must sum
-// to the network's wire-loss total.
+// its own shard's goroutine. For each run seed, per-link wire-loss
+// tallies, every drop site and the sorted (send time, packet ID) list of
+// wire drops must agree at every shard count, and the links' tallies
+// must sum to the network's wire-loss total. Across seeds the lists must
+// differ: every wire-loss stream is rooted in the run seed, so seeded
+// replicates are independent.
 func TestEquivalenceLossyCutDrops(t *testing.T) {
-	wire := make(map[int]string)
-	sites := make(map[int]string)
-	for _, n := range equivalenceCounts {
-		withPlan(n, func() {
-			d := topo.NewSimpleDMZ(7, topo.SimpleDMZConfig{
-				WAN: topo.WANConfig{Loss: netsim.RandomLoss{P: 0.01}},
-			})
-			ftp := dtn.GridFTP{Streams: 4}
-			ftp.Start(d.RemoteDTN, d.DTN, units.GB, nil)
-			ftp.Start(d.DTN, d.RemoteDTN, units.GB, nil)
-			d.Net.RunFor(3 * time.Second)
-
-			for _, err := range d.Net.AuditInvariants() {
-				t.Errorf("shards=%d: audit: %v", n, err)
-			}
-			var linkSum, siteSum uint64
-			for _, l := range d.Net.Links() {
-				linkSum += l.WireDrops()
-				a, b := l.Ends()
-				wire[n] += fmt.Sprintf("%s<->%s %d\n", a, b, l.WireDrops())
-			}
-			for _, sc := range d.Net.DropSites() {
-				if sc.Site.Reason == netsim.DropWireLoss {
-					siteSum += sc.Count
+	seeds := []int64{1, 2, 3}
+	lists := make(map[int64]string)
+	for _, seed := range seeds {
+		wire := make(map[int]string)
+		sites := make(map[int]string)
+		lost := make(map[int]string)
+		for _, n := range equivalenceCounts {
+			withPlan(n, func() {
+				d := topo.NewSimpleDMZ(seed, topo.SimpleDMZConfig{
+					WAN: topo.WANConfig{Loss: netsim.RandomLoss{P: 0.01}},
+				})
+				// The hook runs under the network's drop lock, so shards
+				// append one at a time.
+				var drops []wireDrop
+				d.Net.DropHook = func(pkt *netsim.Packet, site netsim.DropSite) {
+					if site.Reason == netsim.DropWireLoss {
+						drops = append(drops, wireDrop{pkt.SentAt, pkt.ID})
+					}
 				}
-				sites[n] += fmt.Sprintf("%v %d\n", sc.Site, sc.Count)
-			}
-			if linkSum == 0 || linkSum != siteSum {
-				t.Errorf("shards=%d: links' wire drops sum to %d, wire-loss sites to %d", n, linkSum, siteSum)
-			}
-		})
+				ftp := dtn.GridFTP{Streams: 4}
+				ftp.Start(d.RemoteDTN, d.DTN, units.GB, nil)
+				ftp.Start(d.DTN, d.RemoteDTN, units.GB, nil)
+				d.Net.RunFor(3 * time.Second)
+
+				for _, err := range d.Net.AuditInvariants() {
+					t.Errorf("seed %d shards=%d: audit: %v", seed, n, err)
+				}
+				var linkSum, siteSum uint64
+				for _, l := range d.Net.Links() {
+					linkSum += l.WireDrops()
+					a, b := l.Ends()
+					wire[n] += fmt.Sprintf("%s<->%s %d\n", a, b, l.WireDrops())
+				}
+				for _, sc := range d.Net.DropSites() {
+					if sc.Site.Reason == netsim.DropWireLoss {
+						siteSum += sc.Count
+					}
+					sites[n] += fmt.Sprintf("%v %d\n", sc.Site, sc.Count)
+				}
+				if linkSum == 0 || linkSum != siteSum || uint64(len(drops)) != siteSum {
+					t.Errorf("seed %d shards=%d: links' wire drops sum to %d, wire-loss sites to %d, the hook saw %d",
+						seed, n, linkSum, siteSum, len(drops))
+				}
+				sort.Slice(drops, func(i, j int) bool { return drops[i].less(drops[j]) })
+				for _, w := range drops {
+					lost[n] += fmt.Sprintf("%d %d\n", w.at, w.id)
+				}
+			})
+		}
+		requireAllEqual(t, fmt.Sprintf("seed %d per-link wire drops", seed), wire)
+		requireAllEqual(t, fmt.Sprintf("seed %d drop sites", seed), sites)
+		requireAllEqual(t, fmt.Sprintf("seed %d wire-drop list", seed), lost)
+		lists[seed] = lost[1]
 	}
-	requireAllEqual(t, "per-link wire drops", wire)
-	requireAllEqual(t, "drop sites", sites)
+	requirePairwiseDistinct(t, "wire-drop list", seeds, lists)
+}
+
+// wireDrop identifies one packet lost on a wire.
+type wireDrop struct {
+	at sim.Time // when the sending host stamped it
+	id uint64
+}
+
+func (a wireDrop) less(b wireDrop) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.id < b.id
+}
+
+// requirePairwiseDistinct asserts that no two seeds produced the same
+// output.
+func requirePairwiseDistinct(t *testing.T, what string, seeds []int64, got map[int64]string) {
+	t.Helper()
+	for i, a := range seeds {
+		for _, b := range seeds[i+1:] {
+			if got[a] == got[b] {
+				t.Errorf("seeds %d and %d give the same %s: seeded replicates are not independent", a, b, what)
+			}
+		}
+	}
+}
+
+// TestEquivalenceFluidSeedReplicates runs a bursty fluid aggregate
+// across the cut WAN of the simple DMZ: each seed's delivered bytes must
+// agree at every shard count, and differ between seeds, since the
+// aggregate's stream is rooted in the run seed.
+func TestEquivalenceFluidSeedReplicates(t *testing.T) {
+	seeds := []int64{1, 2, 3}
+	delivered := make(map[int64]string)
+	for _, seed := range seeds {
+		got := make(map[int]string)
+		for _, n := range equivalenceCounts {
+			withPlan(n, func() {
+				d := topo.NewSimpleDMZ(seed, topo.SimpleDMZConfig{})
+				eng := fluid.New(d.Net, fluid.Config{})
+				agg, err := eng.Add(fluid.AggregateConfig{
+					Name: "bursty", Src: d.RemoteDTN.Host.Name(), Dst: d.DTN.Host.Name(),
+					FlowsPerSecond: 2000, Burstiness: 0.5,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				eng.Start()
+				d.Net.RunFor(2 * time.Second)
+				for _, err := range d.Net.AuditInvariants() {
+					t.Errorf("seed %d shards=%d: audit: %v", seed, n, err)
+				}
+				got[n] = fmt.Sprintf("delivered=%d\n", agg.DeliveredBytes())
+			})
+		}
+		requireAllEqual(t, fmt.Sprintf("seed %d fluid delivered bytes", seed), got)
+		delivered[seed] = got[1]
+	}
+	requirePairwiseDistinct(t, "fluid delivered bytes", seeds, delivered)
 }

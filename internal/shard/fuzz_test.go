@@ -1,7 +1,6 @@
 package shard
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -10,10 +9,10 @@ import (
 )
 
 // FuzzPartition feeds arbitrary topologies to the partitioner and checks
-// its contract: it never panics, a successful plan covers every node in
-// exactly one domain with strictly positive lookahead and self-consistent
-// cuts, and a failed plan reports one of the two typed errors (ErrNoCut,
-// ZeroLookaheadError) so callers can fall back to unsharded execution.
+// its contract: it never panics, every plan covers every node in exactly
+// one domain with self-consistent cuts, a plan with cuts has strictly
+// positive lookahead, and a cut-free plan is one domain holding every
+// node.
 //
 // Input encoding: byte 0 picks the node count (1..8, alternating hosts
 // and switches); each following 4-byte group (a, b, delay, flags) adds a
@@ -64,17 +63,13 @@ func FuzzPartition(f *testing.F) {
 			}
 		}
 
-		plan, err := Partition(n)
-		if err != nil {
-			var zl *ZeroLookaheadError
-			if !errors.Is(err, ErrNoCut) && !errors.As(err, &zl) {
-				t.Fatalf("Partition returned an untyped error: %v", err)
-			}
-			return
+		plan := n.Partition()
+		if len(plan.Cuts) > 0 && plan.Lookahead <= 0 {
+			t.Fatalf("plan with %d cuts has non-positive lookahead %v", len(plan.Cuts), plan.Lookahead)
 		}
-
-		if plan.Lookahead <= 0 {
-			t.Fatalf("plan accepted with non-positive lookahead %v", plan.Lookahead)
+		if len(plan.Cuts) == 0 && (len(plan.Domains) != 1 || len(plan.Domains[0]) != len(n.NodeNames()) || plan.Lookahead != 0) {
+			t.Fatalf("cut-free plan has domains %v and lookahead %v, want one domain of every node and none",
+				plan.Domains, plan.Lookahead)
 		}
 
 		// Coverage: every node in exactly one domain, no strays.
@@ -112,10 +107,23 @@ func FuzzPartition(f *testing.F) {
 				t.Fatalf("cut %d delay %v below lookahead %v", c.Index, c.Link.Delay, plan.Lookahead)
 			}
 			a, b := c.Link.Ends()
-			if plan.DomainOf(a) != c.DomA || plan.DomainOf(b) != c.DomB {
+			if domainOf(plan, a) != c.DomA || domainOf(plan, b) != c.DomB {
 				t.Fatalf("cut %d records domains (%d,%d), layout says (%d,%d)",
-					c.Index, c.DomA, c.DomB, plan.DomainOf(a), plan.DomainOf(b))
+					c.Index, c.DomA, c.DomB, domainOf(plan, a), domainOf(plan, b))
 			}
 		}
 	})
+}
+
+// domainOf returns the index of the plan domain containing the named
+// node, or -1 when the node is unknown.
+func domainOf(p *netsim.Plan, name string) int {
+	for i, dom := range p.Domains {
+		for _, n := range dom {
+			if n == name {
+				return i
+			}
+		}
+	}
+	return -1
 }

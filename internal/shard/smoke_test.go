@@ -28,10 +28,7 @@ func buildPair(t *testing.T, seed int64) (*netsim.Network, *netsim.Host, *netsim
 
 func TestPartitionPair(t *testing.T) {
 	n, _, _ := buildPair(t, 1)
-	plan, err := Partition(n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := n.Partition()
 	if len(plan.Domains) != 2 {
 		t.Fatalf("domains = %v, want 2", plan.Domains)
 	}
@@ -70,9 +67,11 @@ func TestEngineDeliversAcrossCut(t *testing.T) {
 }
 
 // TestConservationCountsPacketsOnTheWire audits the ledger while
-// packets propagate on a 25 ms cut link, unsharded and at one and two
-// shards: every packet on the wire — on the receiver's arrivals line or
-// parked in a cross-shard ring — must count as in flight.
+// packets propagate on a 25 ms cut link, with no explicit install (the
+// first RunFor installs one shard, after the packets were sent) and at
+// one and two shards: every packet on the wire — on the receiver's
+// arrivals line or parked in a cross-shard ring — must count as in
+// flight.
 func TestConservationCountsPacketsOnTheWire(t *testing.T) {
 	const sent = 50
 	for _, shards := range []int{0, 1, 2} {

@@ -15,7 +15,7 @@ import "fmt"
 //
 // A lane-0 line takes each entry's seq from the scheduler's counter at
 // Push, as AtCall does. A line on a nonzero lane carries the sharded
-// engine's cross-shard deliveries (see internal/shard): its caller
+// engine's deliveries over a cut link (see netsim.Engine): its caller
 // assigns each entry's lane sequence through PushLane.
 type Line struct {
 	s    *Scheduler

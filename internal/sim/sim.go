@@ -90,7 +90,7 @@ type event struct {
 // At/After API, or pushed onto a lane-0 Line, lands there with seq taken
 // from the scheduler's own counter, so a single-scheduler run orders
 // exactly as it always has — (time, scheduling order). Nonzero lanes
-// exist for the sharded engine (internal/shard): a cross-shard packet
+// exist for the sharded engine (netsim.Engine): a cross-shard packet
 // delivery is keyed by its link-direction lane and a per-lane sequence
 // assigned at the sending side, which is the same key no matter how many
 // shards the topology is cut into. That shard-count-invariant tie-break
@@ -528,6 +528,16 @@ func (s *Scheduler) Run() {
 // RunUntil executes events with timestamps at or before t, then advances
 // the clock to exactly t. Events scheduled beyond t remain pending.
 func (s *Scheduler) RunUntil(t Time) {
+	s.RunThrough(t)
+	if !s.stopped {
+		s.AdvanceTo(t)
+	}
+}
+
+// RunThrough executes events with timestamps at or before t, leaving the
+// clock at the last one executed. Events scheduled beyond t remain
+// pending.
+func (s *Scheduler) RunThrough(t Time) {
 	s.stopped = false
 	for !s.stopped {
 		s.skim()
@@ -536,7 +546,13 @@ func (s *Scheduler) RunUntil(t Time) {
 		}
 		s.step()
 	}
-	if !s.stopped && s.now < t {
+}
+
+// AdvanceTo moves the clock forward to t, as if an empty stretch of
+// simulated time passed; a clock at or past t is left alone. The caller
+// must already have run every event at or before t.
+func (s *Scheduler) AdvanceTo(t Time) {
+	if s.now < t {
 		s.now = t
 	}
 }

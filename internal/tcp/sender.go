@@ -308,7 +308,7 @@ func (s *Sender) TraceCwnd(interval time.Duration) *Series {
 }
 
 // sched returns the sender's event scheduler: its host's shard
-// scheduler under sharded execution, the network scheduler otherwise.
+// scheduler once the engine installs, the control scheduler before.
 // Every sender timer and timestamp is host-affine so the whole TCP
 // machine stays inside one shard.
 func (s *Sender) sched() *sim.Scheduler { return s.host.EventScheduler() }

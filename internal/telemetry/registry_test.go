@@ -190,27 +190,48 @@ func TestSamplerOnSimClock(t *testing.T) {
 	}
 }
 
+// TestInstrumentScheduler schedules the same events on one scheduler
+// and spread over two (a network's control and shard schedulers): the
+// exported series are sums, so both layouts export the same values.
 func TestInstrumentScheduler(t *testing.T) {
-	sched := sim.New()
-	r := NewRegistry()
-	InstrumentScheduler(r, sched)
 	compA, compB := sim.TagFor("compA"), sim.TagFor("compB")
-	sched.AfterTag(compA, time.Second, func() {})
-	sched.AfterTag(compA, 2*time.Second, func() {})
-	sched.AfterTag(compB, time.Second, func() {})
-	sched.After(time.Second, func() {}) // untagged
-	sched.Run()
-	snap := r.Snapshot(sched.Now())
-	if s, _ := snap.Get("sim_events_processed", nil); s.Value != 4 {
-		t.Errorf("events processed = %v, want 4", s.Value)
-	}
-	if s, _ := snap.Get("sim_events_by_component", Labels{"component": "compA"}); s.Value != 2 {
-		t.Errorf("compA events = %v, want 2", s.Value)
-	}
-	if s, _ := snap.Get("sim_events_by_component", Labels{"component": "compB"}); s.Value != 1 {
-		t.Errorf("compB events = %v, want 1", s.Value)
-	}
-	if s, _ := snap.Get("sim_queue_depth", nil); s.Value != 0 {
-		t.Errorf("queue depth = %v, want 0", s.Value)
+	for _, n := range []int{1, 2} {
+		scheds := []*sim.Scheduler{sim.New()}
+		if n == 2 {
+			scheds = append(scheds, sim.New())
+		}
+		r := NewRegistry()
+		InstrumentScheduler(r, func() []*sim.Scheduler { return scheds })
+		last := scheds[len(scheds)-1]
+		scheds[0].AfterTag(compA, time.Second, func() {})
+		last.AfterTag(compA, 2*time.Second, func() {})
+		last.AfterTag(compB, time.Second, func() {})
+		scheds[0].After(time.Second, func() {}) // untagged
+		last.After(3*time.Second, func() {})    // still pending at the first snapshot
+
+		scheds[0].RunUntil(sim.Time(2 * time.Second))
+		last.RunUntil(sim.Time(2 * time.Second))
+		snap := r.Snapshot(sim.Time(2 * time.Second))
+		if s, _ := snap.Get("sim_events_processed", nil); s.Value != 4 {
+			t.Errorf("%d schedulers: events processed = %v, want 4", n, s.Value)
+		}
+		if s, _ := snap.Get("sim_events_by_component", Labels{"component": "compA"}); s.Value != 2 {
+			t.Errorf("%d schedulers: compA events = %v, want 2", n, s.Value)
+		}
+		if s, _ := snap.Get("sim_events_by_component", Labels{"component": "compB"}); s.Value != 1 {
+			t.Errorf("%d schedulers: compB events = %v, want 1", n, s.Value)
+		}
+		if s, _ := snap.Get("sim_queue_depth", nil); s.Value != 1 {
+			t.Errorf("%d schedulers: queue depth = %v, want 1", n, s.Value)
+		}
+
+		last.Run()
+		snap = r.Snapshot(last.Now())
+		if s, _ := snap.Get("sim_events_processed", nil); s.Value != 5 {
+			t.Errorf("%d schedulers: events processed after draining = %v, want 5", n, s.Value)
+		}
+		if s, _ := snap.Get("sim_queue_depth", nil); s.Value != 0 {
+			t.Errorf("%d schedulers: queue depth after draining = %v, want 0", n, s.Value)
+		}
 	}
 }

@@ -30,6 +30,7 @@ package telemetry
 import (
 	"encoding/json"
 	"io"
+	"sort"
 	"time"
 
 	"repro/internal/sim"
@@ -93,17 +94,42 @@ func (t *Telemetry) WriteMetricsJSON(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
-// InstrumentScheduler registers the scheduler's own health metrics in
-// the registry: pending event-queue depth, total events processed, and
-// per-component event counts (for events scheduled through the tagged
-// scheduling APIs). Re-instrumenting with a different scheduler
-// replaces the previous one's series.
-func InstrumentScheduler(r *Registry, s *sim.Scheduler) {
-	r.GaugeFunc("sim_queue_depth", nil, func() float64 { return float64(s.Pending()) })
-	r.GaugeFunc("sim_events_processed", nil, func() float64 { return float64(s.Processed) })
+// InstrumentScheduler registers the event kernel's health metrics in
+// the registry, summed over the schedulers scheds returns at snapshot
+// time (a network's control and shard schedulers): pending event-queue
+// depth, total events processed, and per-component event counts (for
+// events scheduled through the tagged scheduling APIs). Every event
+// executes on exactly one scheduler, so the sums do not depend on how
+// many there are. Re-instrumenting replaces the previous series.
+func InstrumentScheduler(r *Registry, scheds func() []*sim.Scheduler) {
+	r.GaugeFunc("sim_queue_depth", nil, func() float64 {
+		var n int
+		for _, s := range scheds() {
+			n += s.Pending()
+		}
+		return float64(n)
+	})
+	r.GaugeFunc("sim_events_processed", nil, func() float64 {
+		var n uint64
+		for _, s := range scheds() {
+			n += s.Processed
+		}
+		return float64(n)
+	})
 	r.RegisterCollector("sim.components", func(emit EmitFunc) {
-		for _, tc := range s.EventCounts() {
-			emit("sim_events_by_component", Labels{"component": tc.Tag}, float64(tc.Count))
+		byTag := make(map[string]uint64)
+		var tags []string
+		for _, s := range scheds() {
+			for _, tc := range s.EventCounts() {
+				if _, ok := byTag[tc.Tag]; !ok {
+					tags = append(tags, tc.Tag)
+				}
+				byTag[tc.Tag] += tc.Count
+			}
+		}
+		sort.Strings(tags)
+		for _, tag := range tags {
+			emit("sim_events_by_component", Labels{"component": tag}, float64(byTag[tag]))
 		}
 	})
 }

@@ -194,7 +194,7 @@ func NewSimpleDMZ(seed int64, cfg SimpleDMZConfig) *SimpleDMZ {
 	wan := netsim.LinkConfig{Rate: cfg.WAN.Rate, Delay: cfg.WAN.Delay, MTU: cfg.WAN.MTU, Loss: cfg.WAN.Loss}
 	// The wide-area links are the natural shard boundaries: their
 	// propagation delay dwarfs intra-site event spacing, so they carry
-	// the partition lookahead (see internal/shard).
+	// the partition lookahead (see netsim.Network.Partition).
 	n.Connect(remote, border, wan).MarkCut()
 	wanPS := wan
 	n.Connect(remotePS, border, wanPS).MarkCut()
