@@ -17,8 +17,8 @@ import (
 //
 //   - raw seed arithmetic: a non-constant arithmetic expression feeding
 //     sim.NewRand / rand.New / rand.NewSource. Pass a seed through
-//     unchanged, or derive a named stream. Deliberate legacy paths
-//     (kept for byte-compatibility) carry `//dmzvet:rawseed <reason>`.
+//     unchanged, or derive a named stream. A deliberate exception
+//     carries `//dmzvet:rawseed <reason>`; the simulator has none left.
 //   - unrooted streams: a sim.DeriveSeed call that names a stream but
 //     leaves out the run seed, so every seed replays the same draws.
 //     The call must pass the seed as strconv.FormatInt(seed, 10) or
@@ -29,11 +29,11 @@ import (
 //     component's field (or returned by a stream-accessor method — an
 //     interprocedural fact) into your own field aliases one generator
 //     across two components, so adding a draw in one perturbs the
-//     other. Deliberate pass-through (the fault overlay forwarding the
-//     network stream to a wrapped loss model) carries
-//     `//dmzvet:sharedrng <reason>`. Handing a *rand.Rand to a callee
-//     as an argument stays legal — injection is the convention;
-//     aliasing into long-lived state is the bug.
+//     other. A deliberate alias carries `//dmzvet:sharedrng <reason>`.
+//     Handing a *rand.Rand to a callee as an argument stays legal —
+//     injection is the convention (the fault overlay passes the port's
+//     stream on to the loss model it wraps); aliasing into long-lived
+//     state is the bug.
 //
 // Scoped to internal/ simulation packages, like simclock.
 var RNGStream = &ProgramAnalyzer{

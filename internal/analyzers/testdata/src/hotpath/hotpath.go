@@ -172,10 +172,9 @@ func (s *sender) setPhaseBad(phase string, seq int64) {
 	s.bus.Emit(event{at: 0, kind: 1, flow: key, label: label})
 }
 
-// Cross-shard handoff mirrors netsim's SPSC ring: Push runs on
-// the producing shard's event goroutine once per cut-crossing packet,
-// so it is subject to the same zero-allocation contract as the
-// scheduler itself.
+// A cross-shard handoff ring: push runs on the producing shard's event
+// goroutine once per cut-crossing packet, so it is subject to the same
+// zero-allocation contract as the scheduler itself.
 
 type xEntry struct {
 	pkt *int

@@ -95,14 +95,14 @@ func reassigned(n *Network) {
 	n.ReleasePacket(p)
 }
 
-// Cross-shard rings park in-flight packets between barrier drains; the
-// parked packets stay on the conservation ledger (it counts each ring's
-// length), so ring types are audited holders. An unmarked ring is a
-// leak the audit cannot see.
+// A cross-shard queue parks in-flight packets between barrier drains;
+// the parked packets stay on the conservation ledger only if the audit
+// counts the queue's length, so a queue type must be an audited holder.
+// An unmarked queue is a leak the audit cannot see.
 
 type ringEntry struct{ pkt *Packet }
 
-// crossRing is the audited shape (mirrors netsim.Ring).
+// crossRing is the audited shape.
 //
 //dmzvet:holder
 type crossRing struct{ buf []ringEntry }

@@ -93,6 +93,9 @@ func TestLHCMeshAggregate(t *testing.T) {
 	if agg < 15 {
 		t.Errorf("aggregate = %.1f Gbps, want > 15", agg)
 	}
+	for _, err := range n.AuditInvariants() {
+		t.Errorf("audit: %v", err)
+	}
 }
 
 func TestNOAAReforecastDataset(t *testing.T) {

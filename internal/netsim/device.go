@@ -52,9 +52,6 @@ type Interceptor interface {
 
 // DeviceConfig describes a router or switch.
 type DeviceConfig struct {
-	// FwdLatency is per-packet forwarding latency (lookup + fabric).
-	FwdLatency time.Duration
-
 	// EgressBuffer is the per-port output queue capacity in bytes. The
 	// paper's "inadequate buffering" devices have this set small. The
 	// zero value defaults to 1 MB.
@@ -88,8 +85,9 @@ type DeviceConfig struct {
 // destination-based routing table, subject to filters and an optional
 // forwarder override.
 //
-// Device is an audited packet holder: sfQueue packets are counted as
-// structurally in-flight by Network.Conservation.
+// Device is an audited packet holder: the sfQueue packets and the one
+// in sfServing are counted as structurally in-flight by
+// Network.Conservation.
 //
 //dmzvet:holder
 type Device struct {
@@ -118,10 +116,11 @@ type Device struct {
 	// Forwarded counts packets successfully forwarded.
 	Forwarded uint64
 
-	// Degraded-mode shared store-and-forward engine state.
+	// Degraded-mode shared store-and-forward engine state: the packets
+	// waiting, their bytes, and the packet in service (nil when idle).
 	sfQueue   []*Packet
 	sfBytes   units.ByteSize
-	sfBusy    bool
+	sfServing *Packet
 	utilCheck sim.Time               // start of current utilization window
 	utilBytes map[int]units.ByteSize // per-port rx+tx bytes at window start
 }
@@ -268,14 +267,6 @@ func (d *Device) forward(pkt *Packet) {
 			Bytes:  int64(pkt.Size),
 		})
 	}
-	if delay := d.Config.FwdLatency; delay > 0 {
-		d.net.transit.Add(1)
-		d.ctx.sched.AfterTag(tagDevice, delay, func() {
-			d.net.transit.Add(^uint64(0))
-			out.Send(pkt)
-		})
-		return
-	}
 	out.Send(pkt)
 }
 
@@ -293,30 +284,35 @@ func (d *Device) sfEnqueue(pkt *Packet) {
 	}
 	d.sfQueue = append(d.sfQueue, pkt)
 	d.sfBytes += pkt.Size
-	if !d.sfBusy {
+	if d.sfServing == nil {
 		d.sfServe()
 	}
 }
 
+// sfServe starts serving the next queued packet, if any.
 func (d *Device) sfServe() {
 	if len(d.sfQueue) == 0 {
-		d.sfBusy = false
 		return
 	}
-	d.sfBusy = true
 	pkt := d.sfQueue[0]
 	d.sfQueue = d.sfQueue[1:]
 	d.sfBytes -= pkt.Size
+	d.sfServing = pkt
 	rate := d.Config.SFRate
 	if rate == 0 {
 		rate = 4 * units.Gbps
 	}
-	d.net.transit.Add(1)
-	d.ctx.sched.AfterTag(tagDevice, rate.Serialize(pkt.Size), func() {
-		d.net.transit.Add(^uint64(0))
-		d.forward(pkt)
-		d.sfServe()
-	})
+	d.ctx.sched.AfterCall(tagDevice, rate.Serialize(pkt.Size), sfDoneCall, d, nil)
+}
+
+// sfDoneCall is the static callback for a packet leaving the degraded
+// store-and-forward engine.
+func sfDoneCall(a, _ any) {
+	d := a.(*Device)
+	pkt := d.sfServing
+	d.sfServing = nil
+	d.forward(pkt)
+	d.sfServe()
 }
 
 // checkModeSwitch degrades a cut-through device once any egress port's

@@ -46,12 +46,13 @@ var DefaultShards = 1
 // # Barrier protocol
 //
 // At each barrier the engine (1) runs every shard to T, (2) drains the
-// cut rings, scheduling each parked packet on its destination shard via
-// its cut lane, (3) re-runs the shards to T if any drained arrival was
-// due exactly at T (one re-run suffices: cut delays are strictly
-// positive, so deliveries triggered by events at T land strictly after
-// T), (4) runs control events at T with every shard quiesced at exactly
-// T, and (5) merges the window's captured trace events canonically.
+// outboxes of ports whose peer runs on another shard, scheduling each
+// parked packet on its destination shard via its cut lane, (3) re-runs
+// the shards to T if any drained arrival was due exactly at T (one
+// re-run suffices: cut delays are strictly positive, so deliveries
+// triggered by events at T land strictly after T), (4) runs control
+// events at T with every shard quiesced at exactly T, and (5) merges
+// the window's captured trace events canonically.
 //
 // Control events at a quiesced barrier are what make experiment code
 // shard-safe without modification: anything scheduled on Network.Sched
@@ -68,7 +69,7 @@ type Engine struct {
 	ctl       *sim.Scheduler
 	lookahead time.Duration // zero: no cut, so no bound
 	shards    []*shardCtx
-	rings     []*Ring
+	outboxes  []*Port  // ports whose cut-link peer runs on another shard
 	barrier   sim.Time // the last window's barrier
 
 	// Trace-merge state: nil when the network traces nothing.
@@ -159,8 +160,7 @@ func (n *Network) install(k int) *Engine {
 		a, b := c.Link.A, c.Link.B
 		a.lane, b.lane = uint32(2*c.Index+1), uint32(2*c.Index+2)
 		if c.DomA%k != c.DomB%k {
-			a.xq, b.xq = newRing(b), newRing(a)
-			e.rings = append(e.rings, a.xq, b.xq)
+			e.outboxes = append(e.outboxes, a, b)
 		}
 	}
 	// Each port's arrivals line moves to the port's shard scheduler and
@@ -181,9 +181,11 @@ func (e *Engine) run(end sim.Time) {
 	stop := e.startWorkers()
 	defer stop()
 
-	// Packets parked in rings by a previous RunFor whose arrivals lay
-	// beyond its end: schedule them now so window sizing sees them.
-	e.drain(-1)
+	// A Stop ends the run it was issued in, not every later one. Shard
+	// schedulers clear their flag each window; the control scheduler
+	// runs only at barriers with control events due.
+	e.sawStop = false
+	e.ctl.ClearStop()
 
 	for {
 		m, haveM := e.minShardNext()
@@ -257,8 +259,8 @@ func (e *Engine) window(t sim.Time) {
 	}
 	// Control events can themselves drive cut links: a port event
 	// scheduled before the engine installed still lives on the control
-	// scheduler, and its transmissions push ring entries *after* the
-	// drain above. Those arrivals are strictly future (stamped
+	// scheduler, and its transmissions fill outboxes *after* the drain
+	// above. Those arrivals are strictly future (stamped
 	// shard-now + cut delay, and the shards sit at exactly t), so one
 	// more drain parks them as ordinary scheduled deliveries for the
 	// next window.
@@ -289,12 +291,22 @@ func (e *Engine) runShards(t sim.Time) {
 	}
 }
 
-// drain empties every cut ring onto the destination ports' arrivals
-// lines. It reports whether any arrival was due exactly at t (the
-// caller must re-run the shards).
+// drain empties every outbox, in push order, onto its peer's arrivals
+// line, keyed by the cut lane and each packet's lane sequence. It
+// reports whether any arrival was due exactly at t (the caller must
+// re-run the shards). It runs only with every shard parked: the worker
+// handshake orders a window's appends before it, and it before the
+// next window, so the outboxes need no synchronization. Packets are
+// appended only by events, which run only inside windows, and every
+// window ends with a drain, so the outboxes are empty between windows.
 func (e *Engine) drain(t sim.Time) (rerun bool) {
-	for _, r := range e.rings {
-		rerun = r.drain(t) || rerun
+	for _, p := range e.outboxes {
+		for _, h := range p.outbox {
+			p.peer.arrivals.PushLane(h.seq, h.at, h.pkt)
+			rerun = rerun || h.at == t
+		}
+		clear(p.outbox)
+		p.outbox = p.outbox[:0]
 	}
 	return rerun
 }
@@ -380,9 +392,9 @@ func (e *Engine) flush() {
 
 // audit checks the engine's invariants: no shard clock regressed, and
 // every shard clock agrees with the control clock at rest (skipped
-// after a Stop, which legitimately parks schedulers mid-window). Ring
-// residency needs no check of its own — the conservation ledger counts
-// parked packets in flight through each ring's Len.
+// after a run that a Stop ended, which legitimately parks schedulers
+// mid-window). Outboxes need no check of their own — the conservation
+// ledger counts their packets in flight.
 func (e *Engine) audit() []error {
 	var errs []error
 	for _, sc := range e.shards {

@@ -54,11 +54,12 @@ func (c Conservation) String() string {
 
 // Conservation computes the current packet balance. InFlight is counted
 // structurally — port queues, packets being serialized, packets on a
-// wire (each port's arrivals line) or parked in a cross-shard ring,
-// packets inside device forwarding closures, and PacketHolder nodes —
-// not derived from the other counters, so imbalance detects real leaks.
-// Under sharded execution, call it only while the shards are parked: at
-// rest, or from a control event.
+// wire (each port's arrivals line, or its outbox while it waits for the
+// barrier drain to a peer on another shard), packets queued in or
+// served by a degraded device's store-and-forward engine, and
+// PacketHolder nodes — not derived from the other counters, so
+// imbalance detects real leaks. Under sharded execution, call it only
+// while the shards are parked: at rest, or from a control event.
 func (n *Network) Conservation() Conservation {
 	c := Conservation{
 		Injected:   n.injected.Load(),
@@ -66,20 +67,19 @@ func (n *Network) Conservation() Conservation {
 		Delivered:  n.delivered.Load(),
 		Dropped:    n.dropped.Load(),
 		Absorbed:   n.absorbed.Load(),
-		InFlight:   n.transit.Load(),
 	}
 	for _, node := range n.nodes {
 		for _, p := range node.Ports() {
-			c.InFlight += uint64(len(p.queue) + len(p.prioQueue) + p.arrivals.Len())
+			c.InFlight += uint64(len(p.queue) + len(p.prioQueue) + p.arrivals.Len() + len(p.outbox))
 			if p.transmitting {
 				c.InFlight++
-			}
-			if p.xq != nil {
-				c.InFlight += uint64(p.xq.Len())
 			}
 		}
 		if d, ok := node.(*Device); ok {
 			c.InFlight += uint64(len(d.sfQueue))
+			if d.sfServing != nil {
+				c.InFlight++
+			}
 		}
 		if h, ok := node.(PacketHolder); ok {
 			c.InFlight += uint64(h.HeldPackets())

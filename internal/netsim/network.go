@@ -71,16 +71,13 @@ type Network struct {
 	// Conservation accounting (see invariant.go). Every packet enters the
 	// network exactly once through Host.Send and leaves exactly once:
 	// delivered to a transport handler or destroyed through countDrop.
-	// transit counts packets captured inside a device's scheduled
-	// closures (forwarding latency, degraded store-and-forward service),
-	// where no queue length can see them; packets on a wire or parked in
-	// a cross-shard ring are counted by length instead. Atomics: the
+	// Packets still inside the network are not counted here but where
+	// they sit: queues, wires, outboxes and holders. Atomics: the
 	// increments are commutative sums, so concurrent shards keep the
 	// ledger exact without ordering.
 	injected  atomic.Uint64
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
-	transit   atomic.Uint64
 
 	// In-network sources and sinks. Interceptors (content caches,
 	// internal/content) create reply traffic inside the network through

@@ -125,8 +125,8 @@ func TestRoutingThroughDevices(t *testing.T) {
 	n := New(1)
 	a := n.NewHost("a")
 	b := n.NewHost("b")
-	r1 := n.NewDevice("r1", DeviceConfig{FwdLatency: time.Microsecond})
-	r2 := n.NewDevice("r2", DeviceConfig{FwdLatency: time.Microsecond})
+	r1 := n.NewDevice("r1", DeviceConfig{})
+	r2 := n.NewDevice("r2", DeviceConfig{})
 	n.Connect(a, r1, LinkConfig{Rate: 10 * units.Gbps, Delay: time.Microsecond})
 	n.Connect(r1, r2, LinkConfig{Rate: 10 * units.Gbps, Delay: time.Millisecond})
 	n.Connect(r2, b, LinkConfig{Rate: 10 * units.Gbps, Delay: time.Microsecond})
@@ -389,6 +389,12 @@ func TestCutThroughDegradation(t *testing.T) {
 		s2.Send(pkt("s2", "dst", 1500))
 	})
 	n.RunFor(300 * time.Millisecond)
+	if sw.sfServing == nil {
+		t.Fatal("the store-and-forward engine should be serving a packet mid-load")
+	}
+	for _, err := range n.AuditInvariants() {
+		t.Errorf("audit mid-load: %v", err)
+	}
 	send.Stop()
 	n.Run()
 	if !sw.Degraded {

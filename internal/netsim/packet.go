@@ -15,7 +15,7 @@
 // overflow, switch fan-in, bursty TCP — without modelling switch fabrics.
 //
 // Every network runs on one event loop, a conservative parallel engine
-// (engine.go, partition.go, ring.go, shard.go): the topology is cut at
+// (engine.go, partition.go, shard.go): the topology is cut at
 // its long-delay boundary links into domains that run on one or more
 // shard schedulers in lockstep windows, and the output is identical at
 // any shard count.

@@ -20,7 +20,7 @@ type Cut struct {
 	Index int
 	// DomA and DomB are the Plan.Domains indices of the link's two ends.
 	// They are equal when another path joins the ends: the cut still
-	// gets lanes, just no cross-shard ring.
+	// gets lanes, but its packets never wait in an outbox.
 	DomA, DomB int
 }
 

@@ -84,13 +84,13 @@ type Port struct {
 
 	// Sharded-execution state (see engine.go): on a cut link this port
 	// orders its transmissions on lane with laneSeq, and — when the peer
-	// lives on another shard — hands them to the xq ring instead of
-	// pushing them onto the peer's arrivals line. lossRNG is the port's
-	// own wire-loss stream (Network.Stream), so its draw order cannot
-	// depend on the shard count.
+	// runs on another shard — appends them to outbox instead of pushing
+	// them onto the peer's arrivals line. lossRNG is the port's own
+	// wire-loss stream (Network.Stream), so its draw order cannot depend
+	// on the shard count.
 	lane    uint32
 	laneSeq uint64
-	xq      *Ring
+	outbox  []handoff
 	lossRNG *rand.Rand
 
 	// fluid, when non-nil, couples the port to the hybrid fluid engine
@@ -363,16 +363,25 @@ func (l *Link) carry(from *Port, pkt *Packet) {
 		to.arrivals.Push(at, pkt)
 		return
 	}
-	// Cut-candidate link: order the delivery by the link-direction lane
-	// so execution order is shard-count-invariant. When the peer is on
-	// another shard, hand off through the SPSC ring; the engine pushes
-	// the delivery onto the peer's line at its barrier drain.
+	// Cut link: order the delivery by the link-direction lane so
+	// execution order is shard-count-invariant. When the peer runs on
+	// another shard, park the delivery in this port's outbox; the
+	// engine pushes it onto the peer's line at the barrier drain.
 	from.laneSeq++
-	if from.xq != nil {
-		from.xq.Push(pkt, at, from.laneSeq)
+	if to.ctx != sc {
+		from.outbox = append(from.outbox, handoff{pkt: pkt, at: at, seq: from.laneSeq})
 		return
 	}
 	to.arrivals.PushLane(from.laneSeq, at, pkt)
+}
+
+// handoff is one packet crossing a cut to a port on another shard: the
+// packet, its arrival time, and the sender's lane sequence number that
+// orders it inside the cut link's lane.
+type handoff struct {
+	pkt *Packet
+	at  sim.Time
+	seq uint64
 }
 
 func (l *Link) describe() string {

@@ -1,6 +1,6 @@
 // Package shard names the sharded engine for callers outside the
 // simulator's own packages. The engine itself — partition, cross-shard
-// rings, barrier-window run loop — lives in internal/netsim, since every
+// outboxes, barrier-window run loop — lives in internal/netsim, since every
 // netsim.Network runs on it; DESIGN.md, "Sharded execution", describes
 // it. The benchmark program (benchmark/) installs its shard counts
 // through Install and reads Engine.Windows, so both stay here as a

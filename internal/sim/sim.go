@@ -573,6 +573,12 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // scheduler's window.
 func (s *Scheduler) Stopped() bool { return s.stopped }
 
+// ClearStop forgets a Stop whose run has already returned. The sharded
+// engine calls it on its control scheduler when a network run starts:
+// that scheduler runs only at barriers with control events due, so a
+// run of its own may not come along to clear the flag.
+func (s *Scheduler) ClearStop() { s.stopped = false }
+
 // Pending returns the number of queued live events, Line entries
 // included (lazily cancelled entries awaiting discard are not counted).
 func (s *Scheduler) Pending() int { return len(s.events) - s.cancelled + s.behind }

@@ -1,42 +1,56 @@
 package tcp
 
-// rangeSet is a sorted set of disjoint half-open byte ranges, used as the
-// sender's SACK scoreboard.
+// byteRange is a half-open [start, end) interval of sequence space.
+type byteRange struct {
+	start, end int64
+}
+
+// rangeSet is a sorted set of disjoint, non-adjacent half-open byte
+// ranges with a running byte count. It is both the sender's SACK
+// scoreboard and the receiver's out-of-order buffer.
 type rangeSet struct {
 	r     []byteRange
 	total int64
 }
 
-// add inserts [start, end), merging overlaps.
+// add inserts [start, end), merging it with every range it overlaps or
+// touches.
 func (s *rangeSet) add(start, end int64) {
 	if end <= start {
 		return
 	}
 	i := 0
-	for i < len(s.r) && s.r[i].start < start {
+	for i < len(s.r) && s.r[i].end < start {
 		i++
 	}
-	s.r = append(s.r, byteRange{})
-	copy(s.r[i+1:], s.r[i:])
+	// Ranges i..j-1 overlap or touch [start, end): fold them in.
+	j := i
+	for ; j < len(s.r) && s.r[j].start <= end; j++ {
+		start = min(start, s.r[j].start)
+		end = max(end, s.r[j].end)
+		s.total -= s.r[j].end - s.r[j].start
+	}
+	s.total += end - start
+	if i == j {
+		s.r = append(s.r, byteRange{})
+		copy(s.r[i+1:], s.r[i:])
+	} else {
+		s.r = append(s.r[:i+1], s.r[j:]...)
+	}
 	s.r[i] = byteRange{start, end}
+}
 
-	merged := s.r[:0]
-	total := int64(0)
-	for _, rg := range s.r {
-		n := len(merged)
-		if n > 0 && rg.start <= merged[n-1].end {
-			if rg.end > merged[n-1].end {
-				merged[n-1].end = rg.end
-			}
-			continue
-		}
-		merged = append(merged, rg)
+// absorb removes every range that starts at or below seq, extending seq
+// through each, and returns the extended seq: the receiver's cumulative
+// ACK point once buffered out-of-order data has become contiguous.
+func (s *rangeSet) absorb(seq int64) int64 {
+	i := 0
+	for ; i < len(s.r) && s.r[i].start <= seq; i++ {
+		seq = max(seq, s.r[i].end)
+		s.total -= s.r[i].end - s.r[i].start
 	}
-	for _, rg := range merged {
-		total += rg.end - rg.start
-	}
-	s.r = merged
-	s.total = total
+	s.r = s.r[:copy(s.r, s.r[i:])]
+	return seq
 }
 
 // trimBelow removes coverage below seq.

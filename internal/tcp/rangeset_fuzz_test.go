@@ -4,19 +4,22 @@ import (
 	"testing"
 )
 
-// FuzzRangeSet drives the SACK scoreboard with arbitrary op sequences
-// and checks its structural invariants against a bitmap reference model
+// FuzzRangeSet drives the range set — the sender's SACK scoreboard and
+// the receiver's out-of-order buffer — with arbitrary op sequences and
+// checks its structural invariants against a bitmap reference model
 // after every operation. The fuzz input is consumed three bytes per op:
 // opcode, position, length.
 func FuzzRangeSet(f *testing.F) {
 	// Seeds: overlap merge, adjacency merge, trim through a range,
-	// clear-then-reuse, and a degenerate (end <= start) add.
-	f.Add([]byte{0, 10, 20, 0, 15, 30})             // overlapping adds
-	f.Add([]byte{0, 10, 10, 0, 20, 10})             // exactly adjacent adds
-	f.Add([]byte{0, 5, 40, 5, 12, 0})               // add then trim mid-range
-	f.Add([]byte{0, 1, 2, 6, 0, 0, 0, 3, 4})        // add, clear, add
-	f.Add([]byte{7, 30, 10, 0, 8, 0})               // reversed + zero-length adds
-	f.Add([]byte{0, 0, 255, 0, 64, 255, 5, 200, 0}) // big spans, deep trim
+	// clear-then-reuse, a degenerate (end <= start) add, and the
+	// receiver's absorb through two ranges, leaving a third.
+	f.Add([]byte{0, 10, 20, 0, 15, 30})                   // overlapping adds
+	f.Add([]byte{0, 10, 10, 0, 20, 10})                   // exactly adjacent adds
+	f.Add([]byte{0, 5, 40, 5, 12, 0})                     // add then trim mid-range
+	f.Add([]byte{0, 1, 2, 6, 0, 0, 0, 3, 4})              // add, clear, add
+	f.Add([]byte{7, 30, 10, 0, 8, 0})                     // reversed + zero-length adds
+	f.Add([]byte{0, 0, 255, 0, 64, 255, 5, 200, 0})       // big spans, deep trim
+	f.Add([]byte{0, 10, 3, 0, 12, 3, 0, 40, 3, 4, 12, 0}) // absorb at 36 through [30,33) and [36,39)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const space = 4 * 256 // every encodable position+length fits
@@ -27,6 +30,21 @@ func FuzzRangeSet(f *testing.F) {
 			op, a, b := data[0], int64(data[1]), int64(data[2])
 			data = data[3:]
 			switch op % 8 {
+			case 4:
+				// The receiver's absorb: every range starting at or
+				// below seq goes, and seq extends through each.
+				seq := a * 3
+				got := s.absorb(seq)
+				want := seq
+				for q := int64(0); q < space; q++ {
+					if ref[q] && q <= want {
+						ref[q] = false
+						want = max(want, q+1)
+					}
+				}
+				if got != want {
+					t.Fatalf("absorb(%d) = %d, reference says %d", seq, got, want)
+				}
 			case 5:
 				seq := a * 3
 				s.trimBelow(seq)

@@ -159,7 +159,7 @@ func TestRangeSetPropertyTotalMatchesNaive(t *testing.T) {
 // --- SACK behaviour -------------------------------------------------------
 
 func TestSACKNegotiated(t *testing.T) {
-	n, c, s := path(1, units.Gbps, time.Millisecond, nil, 1500)
+	n, c, s := path(t, 1, units.Gbps, time.Millisecond, nil, 1500)
 	srv := NewServer(s, 5001, Tuned())
 	conn := Dial(c, srv, 100*units.KB, Tuned(), nil)
 	n.Run()
@@ -182,7 +182,7 @@ func TestSACKRepairsBurstLossWithoutRTO(t *testing.T) {
 	// repair them all in a couple of RTTs with zero RTOs, where NewReno
 	// would need ~20 RTTs (or an RTO).
 	run := func(noSack bool) *Stats {
-		n, c, s := path(1, units.Gbps, 5*time.Millisecond, nil, 1500)
+		n, c, s := path(t, 1, units.Gbps, 5*time.Millisecond, nil, 1500)
 		remaining := 20
 		r1 := n.Node("r1").(*netsim.Device)
 		r1.AddFilter(dropOnce{when: func(p *netsim.Packet) bool {
@@ -209,6 +209,11 @@ func TestSACKRepairsBurstLossWithoutRTO(t *testing.T) {
 	}
 	if withSack.LossEvents != 1 {
 		t.Errorf("SACK run loss events = %d, want 1 episode", withSack.LossEvents)
+	}
+	// Each hole goes exactly once per episode: the 20 dropped segments
+	// are the only retransmissions.
+	if withSack.Retransmits != 20 {
+		t.Errorf("SACK run retransmits = %d, want exactly the 20 dropped segments", withSack.Retransmits)
 	}
 	without := run(true)
 	if withSack.Duration() >= without.Duration() {

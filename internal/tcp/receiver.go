@@ -11,12 +11,6 @@ import (
 // delayedAckTimeout matches common stack behaviour (~40 ms).
 const delayedAckTimeout = 40 * time.Millisecond
 
-// byteRange is a half-open [start, end) interval of sequence space held
-// in the out-of-order buffer.
-type byteRange struct {
-	start, end int64
-}
-
 // receiver is the per-connection receive state inside a Server: cumulative
 // ACK generation, out-of-order buffering, window advertisement with
 // optional RFC 1323 scaling, and Linux-style receive-buffer auto-tuning.
@@ -30,8 +24,7 @@ type receiver struct {
 	myWScale    int
 
 	rcvNxt    int64
-	ooo       []byteRange
-	oooBytes  units.ByteSize
+	ooo       rangeSet // out-of-order data above rcvNxt
 	rcvBuf    units.ByteSize
 	delivered units.ByteSize
 
@@ -82,7 +75,7 @@ func (r *receiver) deliver(pkt *netsim.Packet) {
 }
 
 func (r *receiver) handleSyn(pkt *netsim.Packet) {
-	if !r.established && r.rcvNxt == 0 && len(r.ooo) == 0 {
+	if !r.established && r.rcvNxt == 0 && len(r.ooo.r) == 0 {
 		// Window scaling requires the option on BOTH the SYN we received
 		// (possibly stripped by a middlebox in transit) and our policy.
 		r.scalingOn = r.srv.Opts.WindowScale && pkt.WScale != netsim.NoWScale
@@ -126,7 +119,7 @@ func (r *receiver) handleData(pkt *netsim.Packet) {
 	seq := pkt.Seq
 	end := seq + payload
 
-	hadHole := len(r.ooo) > 0
+	hadHole := len(r.ooo.r) > 0
 	inOrder := false
 
 	switch {
@@ -134,7 +127,7 @@ func (r *receiver) handleData(pkt *netsim.Packet) {
 		inOrder = true
 		r.advance(end)
 	case seq > r.rcvNxt:
-		r.insertOOO(seq, end)
+		r.ooo.add(seq, end)
 	default:
 		// Wholly or partly old data (retransmission overlap); absorb any
 		// new tail.
@@ -167,52 +160,8 @@ func (r *receiver) handleData(pkt *netsim.Packet) {
 // ranges that became contiguous, delivering all advanced bytes.
 func (r *receiver) advance(end int64) {
 	start := r.rcvNxt
-	if end > r.rcvNxt {
-		r.rcvNxt = end
-	}
-	for len(r.ooo) > 0 && r.ooo[0].start <= r.rcvNxt {
-		rg := r.ooo[0]
-		r.ooo = r.ooo[1:]
-		r.oooBytes -= units.ByteSize(rg.end - rg.start)
-		if rg.end > r.rcvNxt {
-			r.rcvNxt = rg.end
-		}
-	}
+	r.rcvNxt = r.ooo.absorb(max(end, r.rcvNxt))
 	r.delivered += units.ByteSize(r.rcvNxt - start)
-}
-
-// insertOOO records [start, end) in the sorted out-of-order list,
-// merging overlaps.
-func (r *receiver) insertOOO(start, end int64) {
-	// Find insertion point.
-	i := 0
-	for i < len(r.ooo) && r.ooo[i].start < start {
-		i++
-	}
-	r.ooo = append(r.ooo, byteRange{})
-	copy(r.ooo[i+1:], r.ooo[i:])
-	r.ooo[i] = byteRange{start, end}
-	r.oooBytes += units.ByteSize(end - start)
-	// Merge neighbours.
-	merged := r.ooo[:0]
-	for _, rg := range r.ooo {
-		n := len(merged)
-		if n > 0 && rg.start <= merged[n-1].end {
-			overlap := merged[n-1].end - rg.start
-			if rg.end > merged[n-1].end {
-				merged[n-1].end = rg.end
-			}
-			if overlap > 0 {
-				if overlap > rg.end-rg.start {
-					overlap = rg.end - rg.start
-				}
-				r.oooBytes -= units.ByteSize(overlap)
-			}
-			continue
-		}
-		merged = append(merged, rg)
-	}
-	r.ooo = merged
 }
 
 // autotune grows the receive buffer when the flow demonstrably fills a
@@ -274,7 +223,7 @@ func (r *receiver) sendAck() {
 	r.delayedAck.Stop()
 	r.segsSinceAck = 0
 
-	wnd := int64(r.rcvBuf - r.oooBytes)
+	wnd := int64(r.rcvBuf) - r.ooo.totalBytes()
 	if wnd < 0 {
 		wnd = 0
 	}
@@ -293,8 +242,8 @@ func (r *receiver) sendAck() {
 	p.Flags = netsim.FlagACK
 	p.Ack = r.rcvNxt
 	p.WindowRaw = int(raw)
-	if r.sackOn && len(r.ooo) > 0 {
-		n := len(r.ooo)
+	if r.sackOn && len(r.ooo.r) > 0 {
+		n := len(r.ooo.r)
 		if n > 3 {
 			n = 3
 		}
@@ -302,7 +251,7 @@ func (r *receiver) sendAck() {
 		// array survives packet reuse, so steady-state SACK ACKs do not
 		// allocate.
 		for i := 0; i < n; i++ {
-			p.Sack = append(p.Sack, [2]int64{r.ooo[i].start, r.ooo[i].end})
+			p.Sack = append(p.Sack, [2]int64{r.ooo.r[i].start, r.ooo.r[i].end})
 		}
 	}
 	r.srv.Host.Send(p)

@@ -34,10 +34,12 @@ type Sender struct {
 	scalingOn   bool // both sides carried the option
 	sackOK      bool // SACK negotiated
 
-	// SACK scoreboard: ranges above sndUna the receiver holds, and hole
-	// starts already retransmitted in the current recovery episode.
-	sacked rangeSet
-	rexmit map[int64]bool
+	// SACK scoreboard: ranges above sndUna the receiver holds. highRxt
+	// is RFC 6675's HighRxt, the hole-scan cursor: every segment below
+	// it was retransmitted in the current recovery episode or is SACKed,
+	// and SACKed ranges only grow until an RTO clears both.
+	sacked  rangeSet
+	highRxt int64
 
 	ssthresh float64
 	sndUna   int64
@@ -129,7 +131,6 @@ func newSender(net *netsim.Network, host *netsim.Host, flow netsim.FlowKey,
 	}
 	s.Cwnd = float64(opts.InitialCwnd * mss)
 	s.ssthresh = 1 << 30 // effectively unbounded until first loss
-	s.rexmit = make(map[int64]bool)
 	s.stats = Stats{
 		Flow:   flow,
 		CCName: opts.CC.Name(),
@@ -451,7 +452,7 @@ func (s *Sender) resumeRecovery() {
 		s.repairHi = s.recover
 	}
 	s.inRecovery = true
-	s.rexmit = make(map[int64]bool)
+	s.highRxt = s.sndUna
 	s.emit(telemetry.EvTCPRecoveryEnter, "resume", s.recover, s.Cwnd)
 	s.setPhase(telemetry.PhaseRecovery)
 	s.resetRTO()
@@ -482,11 +483,6 @@ func (s *Sender) handleNewAck(ack int64) {
 	s.sndUna = ack
 	if s.sackOK {
 		s.sacked.trimBelow(ack)
-		for seq := range s.rexmit {
-			if seq < ack {
-				delete(s.rexmit, seq)
-			}
-		}
 	}
 
 	if s.inRecovery {
@@ -593,9 +589,8 @@ func (s *Sender) enterRecovery() {
 	if s.sackOK {
 		// Pipe accounting governs transmission; no NewReno inflation.
 		s.Cwnd = s.ssthresh
-		s.rexmit = make(map[int64]bool)
 		s.retransmitSegment(s.sndUna)
-		s.rexmit[s.sndUna] = true
+		s.highRxt = s.sndUna + int64(s.mss)
 	} else {
 		s.Cwnd = s.ssthresh + float64(3*s.mss)
 		s.retransmitSegment(s.sndUna)
@@ -694,11 +689,12 @@ func (s *Sender) pipe() int64 {
 
 // sendHoleRetransmits retransmits SACK-identified holes while the pipe
 // has room — the recovery behaviour that repairs many losses per RTT
-// instead of NewReno's one.
+// instead of NewReno's one. The scan starts at highRxt, so each hole
+// goes once per episode and repaired holes are never rescanned.
 func (s *Sender) sendHoleRetransmits(budget *int) {
 	limit := min64(int64(s.Cwnd), s.rwnd)
-	cursor := s.sndUna
 	for *budget < maxBurstSegments {
+		cursor := max(s.sndUna, s.highRxt)
 		hole, ok := s.sacked.nextHole(cursor)
 		if !ok {
 			return
@@ -709,8 +705,8 @@ func (s *Sender) sendHoleRetransmits(budget *int) {
 		if hole < cursor {
 			hole = cursor
 		}
-		if s.rexmit[hole] || s.sacked.covers(hole) {
-			cursor = hole + int64(s.mss)
+		if s.sacked.covers(hole) {
+			s.highRxt = hole + int64(s.mss)
 			continue
 		}
 		if s.pipe()+int64(s.mss) > limit {
@@ -720,8 +716,7 @@ func (s *Sender) sendHoleRetransmits(budget *int) {
 			return
 		}
 		s.retransmitSegment(hole)
-		s.rexmit[hole] = true
-		cursor = hole + int64(s.mss)
+		s.highRxt = hole + int64(s.mss)
 		*budget++
 	}
 }
@@ -896,7 +891,7 @@ func (s *Sender) onRTO() {
 	s.emit(telemetry.EvTCPCwnd, "rto-collapse", s.sndUna, s.Cwnd)
 	// The scoreboard may be stale (reneging is permitted); discard it.
 	s.sacked.clear()
-	clear(s.rexmit)
+	s.highRxt = 0
 	// Go-back-N: restart from the first unacknowledged byte.
 	s.sndNxt = s.sndUna
 	s.rto *= 2

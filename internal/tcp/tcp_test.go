@@ -13,9 +13,15 @@ import (
 )
 
 // path builds client -- r1 -- r2 -- server with the WAN segment between
-// the routers carrying the delay (RTT = 2*delay) and optional loss.
-func path(seed int64, rate units.BitRate, oneWay time.Duration, loss netsim.LossModel, mtu int) (*netsim.Network, *netsim.Host, *netsim.Host) {
+// the routers carrying the delay (RTT = 2*delay) and optional loss. The
+// network's invariants are audited when the test ends.
+func path(t *testing.T, seed int64, rate units.BitRate, oneWay time.Duration, loss netsim.LossModel, mtu int) (*netsim.Network, *netsim.Host, *netsim.Host) {
 	n := netsim.New(seed)
+	t.Cleanup(func() {
+		for _, err := range n.AuditInvariants() {
+			t.Errorf("audit: %v", err)
+		}
+	})
 	c := n.NewHost("client")
 	s := n.NewHost("server")
 	r1 := n.NewDevice("r1", netsim.DeviceConfig{EgressBuffer: 32 * units.MB})
@@ -28,7 +34,7 @@ func path(seed int64, rate units.BitRate, oneWay time.Duration, loss netsim.Loss
 }
 
 func TestBasicTransferCompletes(t *testing.T) {
-	n, c, s := path(1, units.Gbps, time.Millisecond, nil, 1500)
+	n, c, s := path(t, 1, units.Gbps, time.Millisecond, nil, 1500)
 	srv := NewServer(s, 5001, Tuned())
 	var done *Stats
 	Dial(c, srv, 100*units.KB, Tuned(), func(st *Stats) { done = st })
@@ -51,7 +57,7 @@ func TestBasicTransferCompletes(t *testing.T) {
 }
 
 func TestMSSFromPathMTU(t *testing.T) {
-	n, c, s := path(1, units.Gbps, time.Millisecond, nil, 9000)
+	n, c, s := path(t, 1, units.Gbps, time.Millisecond, nil, 9000)
 	srv := NewServer(s, 5001, Tuned())
 	conn := Dial(c, srv, 10*units.KB, Tuned(), nil)
 	n.Run()
@@ -62,7 +68,7 @@ func TestMSSFromPathMTU(t *testing.T) {
 
 func TestLossFreeThroughputNearLineRate(t *testing.T) {
 	// §2.1: loss-free paths let TCP run at path rate even at high RTT.
-	n, c, s := path(1, units.Gbps, 5*time.Millisecond, nil, 1500) // RTT 10ms
+	n, c, s := path(t, 1, units.Gbps, 5*time.Millisecond, nil, 1500) // RTT 10ms
 	srv := NewServer(s, 5001, Tuned())
 	var done *Stats
 	Dial(c, srv, 100*units.MB, Tuned(), func(st *Stats) { done = st })
@@ -79,7 +85,7 @@ func TestLossFreeThroughputNearLineRate(t *testing.T) {
 func TestLegacyWindowCapsThroughput(t *testing.T) {
 	// §6.2: 64 KiB window at 10 ms RTT caps near 52 Mb/s regardless of
 	// the 1 Gb/s path.
-	n, c, s := path(1, units.Gbps, 5*time.Millisecond, nil, 1500)
+	n, c, s := path(t, 1, units.Gbps, 5*time.Millisecond, nil, 1500)
 	srv := NewServer(s, 5001, Legacy())
 	var done *Stats
 	Dial(c, srv, 20*units.MB, Legacy(), func(st *Stats) { done = st })
@@ -100,7 +106,7 @@ func TestLegacyWindowCapsThroughput(t *testing.T) {
 func TestWindowScaleStrippedByMiddlebox(t *testing.T) {
 	// A middlebox clearing the window-scale option must disable scaling
 	// even between two tuned endpoints — the Penn State failure.
-	n, c, s := path(1, units.Gbps, 5*time.Millisecond, nil, 1500)
+	n, c, s := path(t, 1, units.Gbps, 5*time.Millisecond, nil, 1500)
 	r1 := n.Node("r1").(*netsim.Device)
 	r1.AddFilter(stripWScale{})
 	srv := NewServer(s, 5001, Tuned())
@@ -132,7 +138,7 @@ func (stripWScale) Check(p *netsim.Packet, _ *netsim.Port) bool {
 func TestSingleLossFastRetransmit(t *testing.T) {
 	// Exactly one data packet lost mid-flow: NewReno must recover via
 	// fast retransmit without any RTO.
-	n, c, s := path(1, units.Gbps, time.Millisecond, nil, 1500)
+	n, c, s := path(t, 1, units.Gbps, time.Millisecond, nil, 1500)
 	srv := NewServer(s, 5001, Tuned())
 
 	dropped := false
@@ -177,7 +183,7 @@ func (d dropOnce) Check(p *netsim.Packet, _ *netsim.Port) bool {
 func TestBurstLossRecoversViaNewRenoOrRTO(t *testing.T) {
 	// A burst of consecutive losses: NewReno partial ACKs (or in the
 	// worst case an RTO) must still complete the transfer.
-	n, c, s := path(1, units.Gbps, time.Millisecond, nil, 1500)
+	n, c, s := path(t, 1, units.Gbps, time.Millisecond, nil, 1500)
 	srv := NewServer(s, 5001, Tuned())
 	remaining := 5
 	r1 := n.Node("r1").(*netsim.Device)
@@ -204,7 +210,7 @@ func TestBurstLossRecoversViaNewRenoOrRTO(t *testing.T) {
 
 func TestRTOOnTotalBlackout(t *testing.T) {
 	// Drop everything for a while mid-transfer: only an RTO can recover.
-	n, c, s := path(1, units.Gbps, time.Millisecond, nil, 1500)
+	n, c, s := path(t, 1, units.Gbps, time.Millisecond, nil, 1500)
 	srv := NewServer(s, 5001, Tuned())
 	blackout := false
 	r1 := n.Node("r1").(*netsim.Device)
@@ -229,7 +235,7 @@ func TestRandomLossTracksMathis(t *testing.T) {
 	// rate. This validates the congestion machinery quantitatively.
 	rtt := 20 * time.Millisecond
 	p := 1e-4
-	n, c, s := path(7, units.Gbps, rtt/2, netsim.RandomLoss{P: p}, 1500)
+	n, c, s := path(t, 7, units.Gbps, rtt/2, netsim.RandomLoss{P: p}, 1500)
 	srv := NewServer(s, 5001, Tuned())
 	conn := Dial(c, srv, -1, Tuned(), nil) // unbounded
 	n.RunFor(60 * time.Second)
@@ -253,7 +259,7 @@ func TestLossHurtsMoreAtHigherRTT(t *testing.T) {
 	// The central Figure 1 relationship: same loss rate, higher RTT ⇒
 	// much lower throughput.
 	run := func(rtt time.Duration) units.BitRate {
-		n, c, s := path(3, 10*units.Gbps, rtt/2, &netsim.PeriodicLoss{N: 22000}, 9000)
+		n, c, s := path(t, 3, 10*units.Gbps, rtt/2, &netsim.PeriodicLoss{N: 22000}, 9000)
 		srv := NewServer(s, 5001, Tuned())
 		conn := Dial(c, srv, -1, Tuned(), nil)
 		n.RunFor(20 * time.Second)
@@ -271,7 +277,7 @@ func TestHTCPBeatsRenoOnLossyHighBDP(t *testing.T) {
 	// Figure 1's two measured curves: H-TCP recovers faster than Reno on
 	// a high-BDP path with occasional loss.
 	run := func(cc CongestionControl) units.BitRate {
-		n, c, s := path(11, 10*units.Gbps, 25*time.Millisecond, netsim.RandomLoss{P: 5e-5}, 9000)
+		n, c, s := path(t, 11, 10*units.Gbps, 25*time.Millisecond, netsim.RandomLoss{P: 5e-5}, 9000)
 		srv := NewServer(s, 5001, Tuned())
 		conn := Dial(c, srv, -1, TunedWith(cc), nil)
 		n.RunFor(15 * time.Second)
@@ -286,7 +292,7 @@ func TestHTCPBeatsRenoOnLossyHighBDP(t *testing.T) {
 }
 
 func TestCubicCompletesAndBacksOff(t *testing.T) {
-	n, c, s := path(5, units.Gbps, 5*time.Millisecond, netsim.RandomLoss{P: 1e-5}, 1500)
+	n, c, s := path(t, 5, units.Gbps, 5*time.Millisecond, netsim.RandomLoss{P: 1e-5}, 1500)
 	srv := NewServer(s, 5001, Tuned())
 	var done *Stats
 	Dial(c, srv, 30*units.MB, TunedWith(&Cubic{}), func(st *Stats) { done = st })
@@ -338,7 +344,7 @@ func TestFairnessTwoFlows(t *testing.T) {
 func TestTinyReceiverBufferNoDeadlock(t *testing.T) {
 	// A receive buffer smaller than one MSS must not deadlock.
 	opts := Options{WindowScale: false, RcvBuf: 1 * units.KB}
-	n, c, s := path(1, units.Gbps, time.Millisecond, nil, 1500)
+	n, c, s := path(t, 1, units.Gbps, time.Millisecond, nil, 1500)
 	srv := NewServer(s, 5001, opts)
 	var done *Stats
 	Dial(c, srv, 50*units.KB, opts, func(st *Stats) { done = st })
@@ -350,7 +356,7 @@ func TestTinyReceiverBufferNoDeadlock(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() (units.ByteSize, int, time.Duration) {
-		n, c, s := path(21, units.Gbps, 5*time.Millisecond, netsim.RandomLoss{P: 1e-4}, 1500)
+		n, c, s := path(t, 21, units.Gbps, 5*time.Millisecond, netsim.RandomLoss{P: 1e-4}, 1500)
 		srv := NewServer(s, 5001, Tuned())
 		conn := Dial(c, srv, 10*units.MB, Tuned(), nil)
 		n.RunFor(20 * time.Second)
@@ -365,7 +371,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestConcurrentFlowsOnOneServer(t *testing.T) {
-	n, c, s := path(1, units.Gbps, time.Millisecond, nil, 1500)
+	n, c, s := path(t, 1, units.Gbps, time.Millisecond, nil, 1500)
 	srv := NewServer(s, 5001, Tuned())
 	doneCount := 0
 	for i := 0; i < 8; i++ {
@@ -384,7 +390,7 @@ func TestConcurrentFlowsOnOneServer(t *testing.T) {
 }
 
 func TestTraceCwndRecordsBackoff(t *testing.T) {
-	n, c, s := path(13, units.Gbps, 2*time.Millisecond, &netsim.PeriodicLoss{N: 3000}, 1500)
+	n, c, s := path(t, 13, units.Gbps, 2*time.Millisecond, &netsim.PeriodicLoss{N: 3000}, 1500)
 	srv := NewServer(s, 5001, Tuned())
 	conn := Dial(c, srv, -1, Tuned(), nil)
 	trace := conn.TraceCwnd(10 * time.Millisecond)
@@ -399,7 +405,7 @@ func TestTraceCwndRecordsBackoff(t *testing.T) {
 }
 
 func TestStatsStringAndDuration(t *testing.T) {
-	n, c, s := path(1, units.Gbps, time.Millisecond, nil, 1500)
+	n, c, s := path(t, 1, units.Gbps, time.Millisecond, nil, 1500)
 	srv := NewServer(s, 5001, Tuned())
 	var done *Stats
 	Dial(c, srv, 10*units.KB, Tuned(), func(st *Stats) { done = st })
@@ -447,7 +453,7 @@ func TestTraceThroughputShowsStep(t *testing.T) {
 	// A paced flow whose pace doubles mid-run shows the step in its
 	// throughput trace — the Figure 8 "utilization jumped after the
 	// firewall fix" visual, mechanically.
-	n, c, s := path(1, units.Gbps, time.Millisecond, nil, 1500)
+	n, c, s := path(t, 1, units.Gbps, time.Millisecond, nil, 1500)
 	srv := NewServer(s, 5001, Tuned())
 	opts := Tuned()
 	opts.PaceRate = 100 * units.Mbps
@@ -472,7 +478,7 @@ func TestLossyTransferReusesPacketsAndAuditsClean(t *testing.T) {
 	// unbalancing the conservation ledger. 1% loss over the ~1,400 data
 	// segments of 2 MB is ~14 expected drops, so a retransmission is
 	// near-certain whatever the seed draws.
-	n, c, s := path(7, units.Gbps, time.Millisecond, &netsim.RandomLoss{P: 1e-2}, 1500)
+	n, c, s := path(t, 7, units.Gbps, time.Millisecond, &netsim.RandomLoss{P: 1e-2}, 1500)
 	srv := NewServer(s, 5001, Tuned())
 	var done *Stats
 	Dial(c, srv, 2*units.MB, Tuned(), func(st *Stats) { done = st })
@@ -495,7 +501,7 @@ func TestLinkFlapMidTransferRecovers(t *testing.T) {
 	// Flap the WAN link mid-transfer: take it down for 400 ms, then
 	// restore. The sender must survive on RTOs, resume after the link
 	// returns, and the packet-conservation ledger must still balance.
-	n, c, s := path(5, units.Gbps, time.Millisecond, nil, 1500)
+	n, c, s := path(t, 5, units.Gbps, time.Millisecond, nil, 1500)
 	link := n.LinkBetween("r1", "r2")
 	if link == nil {
 		t.Fatal("no r1<->r2 link")
@@ -545,7 +551,7 @@ func collectEvents(n *netsim.Network) (*[]telemetry.Event, *telemetry.Telemetry)
 func TestPhaseEventStreamCleanTransfer(t *testing.T) {
 	// A loss-free transfer emits the full lifecycle — start, established,
 	// phases, done(success) — and never enters the recovery phase.
-	n, c, s := path(1, units.Gbps, time.Millisecond, nil, 1500)
+	n, c, s := path(t, 1, units.Gbps, time.Millisecond, nil, 1500)
 	evs, _ := collectEvents(n)
 	srv := NewServer(s, 5001, Tuned())
 	Dial(c, srv, 5*units.MB, Tuned(), nil)
@@ -608,7 +614,7 @@ func TestPhaseEventStreamCleanTransfer(t *testing.T) {
 func TestPhaseEventStreamLossEntersRecovery(t *testing.T) {
 	// A mid-flow loss must surface as a recovery phase interval that
 	// ends (a later event carries a different phase) once repaired.
-	n, c, s := path(1, units.Gbps, time.Millisecond, nil, 1500)
+	n, c, s := path(t, 1, units.Gbps, time.Millisecond, nil, 1500)
 	evs, _ := collectEvents(n)
 	srv := NewServer(s, 5001, Tuned())
 	dropped := false
@@ -650,7 +656,7 @@ func TestPhaseEventStreamLossEntersRecovery(t *testing.T) {
 func TestPhaseEventsFreeWithoutTelemetry(t *testing.T) {
 	// With no telemetry attached the phase machinery must not publish
 	// anything and must not perturb behaviour: same Stats as ever.
-	n, c, s := path(1, units.Gbps, time.Millisecond, nil, 1500)
+	n, c, s := path(t, 1, units.Gbps, time.Millisecond, nil, 1500)
 	srv := NewServer(s, 5001, Tuned())
 	conn := Dial(c, srv, 100*units.KB, Tuned(), nil)
 	n.Run()
