@@ -138,6 +138,8 @@ func (c *Cache) InterceptorName() string { return "content-cache" }
 
 // Intercept implements netsim.Interceptor: classify content-protocol
 // packets and let everything else pass untouched.
+//
+//dmz:hotpath
 func (c *Cache) Intercept(pkt *netsim.Packet, in *netsim.Port) bool {
 	if pkt.Flow.Proto != netsim.ProtoUDP {
 		return true
@@ -161,14 +163,14 @@ func (c *Cache) interest(pkt *netsim.Packet, chunk *Chunk) bool {
 	if c.store.Get(chunk) {
 		c.Hits++
 		c.HitBytes += chunk.Bytes
-		c.emit(telemetry.EvCacheHit, pkt.Flow.String(), chunk)
+		c.emit(telemetry.EvCacheHit, pkt.Flow, chunk)
 		c.serve(pkt.Flow.Reverse(), chunk, 0, chunk.Segs)
 		c.dev.Absorb(pkt)
 		return false
 	}
 	c.Misses++
 	c.MissBytes += chunk.Bytes
-	c.emit(telemetry.EvCacheMiss, pkt.Flow.String(), chunk)
+	c.emit(telemetry.EvCacheMiss, pkt.Flow, chunk)
 
 	now := c.dev.Now()
 	pe := c.pit[chunk]
@@ -253,6 +255,7 @@ func (c *Cache) newPIT(chunk *Chunk) *pitEntry {
 	words := (chunk.Segs + 63) / 64
 	pe := c.pitFree
 	if pe == nil {
+		//dmzvet:alloc free-list miss: entries are recycled through pitFree once the PIT reaches its peak
 		pe = &pitEntry{}
 	} else {
 		c.pitFree = pe.next
@@ -260,6 +263,7 @@ func (c *Cache) newPIT(chunk *Chunk) *pitEntry {
 	}
 	pe.chunk = chunk
 	if cap(pe.got) < words {
+		//dmzvet:alloc a recycled entry's bitmap grows only for a chunk with more segments than it ever tracked
 		pe.got = make([]uint64, words)
 	} else {
 		pe.got = pe.got[:words]
@@ -281,26 +285,30 @@ func (c *Cache) freePIT(pe *pitEntry) {
 // noteEvict is the store's eviction observer: trace only, off the
 // store's hot path.
 func (c *Cache) noteEvict(chunk *Chunk) {
-	c.emit(telemetry.EvCacheEvict, "", chunk)
+	c.emit(telemetry.EvCacheEvict, netsim.FlowKey{}, chunk)
 }
 
 // emit publishes a cache trace event. Guarded cold path: a run without
-// a trace bus pays one nil-safe branch.
+// a trace bus pays one nil-safe branch, and the flow is rendered only
+// after it. The zero FlowKey (an eviction) renders as no flow.
 //
 //dmzvet:coldpath trace emission is off the cache hot path; the event struct and strings allocate by design
-func (c *Cache) emit(kind telemetry.EventKind, flow string, chunk *Chunk) {
+func (c *Cache) emit(kind telemetry.EventKind, flow netsim.FlowKey, chunk *Chunk) {
 	bus := c.dev.TraceBus()
 	if !bus.Enabled() {
 		return
 	}
-	bus.Emit(telemetry.Event{
+	ev := telemetry.Event{
 		At:     c.dev.Now(),
 		Kind:   kind,
 		Node:   c.dev.Name(),
-		Flow:   flow,
 		Detail: chunk.Name(),
 		Bytes:  int64(chunk.Bytes),
-	})
+	}
+	if flow != (netsim.FlowKey{}) {
+		ev.Flow = flow.String()
+	}
+	bus.Emit(ev)
 }
 
 // collect exposes the cache to registry snapshots (Prometheus export,

@@ -17,9 +17,12 @@ type miniSite struct {
 	cache   *Cache
 }
 
+// buildMini builds the site; its network's invariants are audited when
+// the test ends.
 func buildMini(t *testing.T, readers int, cat *Catalog, cfg CacheConfig, withCache bool) *miniSite {
 	t.Helper()
 	n := netsim.New(11)
+	t.Cleanup(func() { audit(t, n) })
 	o := n.NewHost("origin")
 	sw := n.NewDevice("sw", netsim.DeviceConfig{EgressBuffer: 16 * units.MB})
 	fast := netsim.LinkConfig{Rate: 10 * units.Gbps, Delay: 100 * time.Microsecond, MTU: 9000}
@@ -92,7 +95,6 @@ func TestCacheSecondPullHits(t *testing.T) {
 	if cons.Originated == 0 || cons.Absorbed == 0 {
 		t.Fatalf("cache should originate and absorb: %v", cons)
 	}
-	audit(t, m.net)
 }
 
 // TestCacheAggregation collapses concurrent misses: two readers pulling
@@ -130,7 +132,6 @@ func TestCacheAggregation(t *testing.T) {
 	if cached+origin != 2*chunks {
 		t.Fatalf("classified %d+%d chunks, want %d", cached, origin, 2*chunks)
 	}
-	audit(t, m.net)
 }
 
 // TestCacheZeroBudget is the ablation: with no store bytes every lookup
@@ -158,7 +159,6 @@ func TestCacheZeroBudget(t *testing.T) {
 	if m.origin.Served != uint64(2*len(ds.Chunks)) {
 		t.Fatalf("origin served %d, want all %d", m.origin.Served, 2*len(ds.Chunks))
 	}
-	audit(t, m.net)
 }
 
 // TestCacheAbsent is the true baseline: no interceptor installed at all;
@@ -179,54 +179,54 @@ func TestCacheAbsent(t *testing.T) {
 	if cons.Originated != 0 || cons.Absorbed != 0 {
 		t.Fatalf("no cache, yet originated=%d absorbed=%d", cons.Originated, cons.Absorbed)
 	}
-	audit(t, m.net)
 }
 
-// TestCachePITExpiry drives the pending-interest table directly: an
-// interest after the PIT deadline re-forwards upstream (a refetch)
-// instead of joining a fetch presumed lost.
+// TestCachePITExpiry drives the pending-interest table with interests
+// sent from the readers: an interest after the PIT deadline re-forwards
+// upstream (a refetch) instead of joining a fetch presumed lost. The
+// origin is unbound, so every forwarded interest dies there and the
+// fetch it opened never completes.
 func TestCachePITExpiry(t *testing.T) {
 	cat := Uniform("hot", 1, 128*units.KB, 128*units.KB)
 	chunk := cat.Datasets[0].Chunks[0]
 	m := buildMini(t, 2, cat, CacheConfig{
 		Budget: units.MB, Aggregate: true, PITTimeout: 10 * time.Millisecond,
 	}, true)
+	m.origin.Host.Unbind(netsim.ProtoUDP, OriginPort)
+	atOrigin := netsim.DropSite{Reason: netsim.DropNoHandler, Node: "origin"}
 
-	interest := func(from string) *netsim.Packet {
-		p := m.sw.NewPacket()
+	// interest sends one interest from the reader and lets it reach the
+	// origin, if the cache forwards it.
+	interest := func(reader int) {
+		h := m.readers[reader]
+		p := h.NewPacket()
 		p.Flow = netsim.FlowKey{
-			Src: from, Dst: "origin",
+			Src: h.Name(), Dst: "origin",
 			SrcPort: ConsumerPort, DstPort: OriginPort, Proto: netsim.ProtoUDP,
 		}
 		p.Size = InterestBytes
 		p.Payload = chunk
-		return p
+		h.Send(p)
+		m.net.RunFor(time.Millisecond)
 	}
 
-	// First interest misses and opens a PIT entry; it would forward on.
-	p := interest("r0")
-	if !m.cache.Intercept(p, nil) {
-		t.Fatal("first interest must forward upstream")
+	// First interest misses and opens a PIT entry; it forwards on.
+	interest(0)
+	if m.cache.Misses != 1 || m.net.DropStats[atOrigin] != 1 {
+		t.Fatalf("first interest: misses %d, reached origin %d; want 1, 1", m.cache.Misses, m.net.DropStats[atOrigin])
 	}
-	m.sw.ReleasePacket(p)
 
 	// Concurrent interest from the other reader joins the pending fetch.
-	if m.cache.Intercept(interest("r1"), nil) {
-		t.Fatal("concurrent interest must be aggregated, not forwarded")
-	}
-	if m.cache.Aggregated != 1 {
-		t.Fatalf("aggregated %d, want 1", m.cache.Aggregated)
+	interest(1)
+	if m.cache.Aggregated != 1 || m.net.DropStats[atOrigin] != 1 {
+		t.Fatalf("concurrent interest: aggregated %d, reached origin %d; want 1, 1", m.cache.Aggregated, m.net.DropStats[atOrigin])
 	}
 
 	// Past the deadline the entry is stale: the next interest refetches.
 	m.net.RunFor(25 * time.Millisecond)
-	p = interest("r0")
-	if !m.cache.Intercept(p, nil) {
-		t.Fatal("post-expiry interest must forward upstream again")
-	}
-	m.sw.ReleasePacket(p)
-	if m.cache.Refetches != 1 {
-		t.Fatalf("refetches %d, want 1", m.cache.Refetches)
+	interest(0)
+	if m.cache.Refetches != 1 || m.net.DropStats[atOrigin] != 2 {
+		t.Fatalf("post-expiry interest: refetches %d, reached origin %d; want 1, 2", m.cache.Refetches, m.net.DropStats[atOrigin])
 	}
 	if m.cache.Misses != 3 || m.cache.Hits != 0 {
 		t.Fatalf("misses=%d hits=%d", m.cache.Misses, m.cache.Hits)

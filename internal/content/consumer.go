@@ -157,9 +157,7 @@ func (c *Consumer) request(chunk *Chunk, retry bool) {
 		st = c.newChunkState(chunk)
 		c.outstanding[chunk] = st
 	}
-	st.timer = c.host.EventScheduler().AfterTag(tagContent, c.cfg.Timeout, func() {
-		c.stalled(chunk)
-	})
+	st.timer = c.host.EventScheduler().AfterCall(tagContent, c.cfg.Timeout, stalledCall, c, chunk)
 	pkt := c.host.NewPacket()
 	pkt.Flow = netsim.FlowKey{
 		Src: c.host.Name(), Dst: c.cfg.Origin,
@@ -170,6 +168,10 @@ func (c *Consumer) request(chunk *Chunk, retry bool) {
 	pkt.Payload = chunk
 	c.host.Send(pkt)
 }
+
+// stalledCall is the static callback of a chunk's stall timer, with the
+// consumer and the chunk as operands.
+func stalledCall(a, b any) { a.(*Consumer).stalled(b.(*Chunk)) }
 
 // stalled fires when a chunk's data did not complete within the
 // timeout: re-request the missing segments (duplicates are deduped by

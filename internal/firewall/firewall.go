@@ -23,7 +23,6 @@ package firewall
 
 import (
 	"fmt"
-	"hash/fnv"
 	"time"
 
 	"repro/internal/acl"
@@ -87,15 +86,16 @@ type Counters struct {
 }
 
 // processor is one firewall engine's input queue and service state.
-// Queued packets are audited: Firewall.HeldPackets reports them to the
-// conservation invariant as structurally in-flight.
+// Queued packets and the one under inspection are audited:
+// Firewall.HeldPackets reports them to the conservation invariant as
+// structurally in-flight.
 //
 //dmzvet:holder
 type processor struct {
 	fw        *Firewall
-	queue     []*netsim.Packet
+	queue     netsim.PacketFIFO
 	queueSize units.ByteSize
-	busy      bool
+	serving   *netsim.Packet // under inspection; nil when the engine is idle
 }
 
 // Firewall is a stateful inspection appliance between two or more ports.
@@ -148,50 +148,72 @@ func canonical(k netsim.FlowKey) netsim.FlowKey {
 	return k
 }
 
+// flowHash is 32-bit FNV-1a over the key's source and destination names
+// and its two ports, big-endian: the bytes the firewall has always
+// hashed, so every flow keeps its inspection engine.
+func flowHash(k netsim.FlowKey) uint32 {
+	const prime = 16777619
+	h := uint32(2166136261)
+	for i := 0; i < len(k.Src); i++ {
+		h = (h ^ uint32(k.Src[i])) * prime
+	}
+	for i := 0; i < len(k.Dst); i++ {
+		h = (h ^ uint32(k.Dst[i])) * prime
+	}
+	for _, b := range [4]byte{byte(k.SrcPort >> 8), byte(k.SrcPort), byte(k.DstPort >> 8), byte(k.DstPort)} {
+		h = (h ^ uint32(b)) * prime
+	}
+	return h
+}
+
 // Receive implements netsim.Node: hash the flow to an inspection engine
 // and queue the packet there.
+//
+//dmz:hotpath
 func (f *Firewall) Receive(pkt *netsim.Packet, in *netsim.Port) {
 	pkt.Hops++
 	if f.Bypass != nil && f.Bypass(pkt) {
 		f.forward(pkt)
 		return
 	}
-	key := canonical(pkt.Flow)
-	h := fnv.New32a()
-	h.Write([]byte(key.Src))
-	h.Write([]byte(key.Dst))
-	h.Write([]byte{byte(key.SrcPort >> 8), byte(key.SrcPort), byte(key.DstPort >> 8), byte(key.DstPort)})
-	p := f.procs[h.Sum32()%uint32(len(f.procs))]
+	p := f.procs[flowHash(canonical(pkt.Flow))%uint32(len(f.procs))]
 
 	if p.queueSize+pkt.Size > f.Config.InputBuffer {
 		f.Stats.BufferDrops++
 		f.net.CountDropReason(pkt, netsim.DropFirewallOverflow, f.Name(), "")
 		return
 	}
-	p.queue = append(p.queue, pkt)
+	p.queue.Push(pkt)
 	p.queueSize += pkt.Size
-	if !p.busy {
+	if p.serving == nil {
 		p.serveNext()
 	}
 }
 
+// serveNext starts inspecting the engine's next queued packet, if any.
 func (p *processor) serveNext() {
-	if len(p.queue) == 0 {
-		p.busy = false
+	pkt := p.queue.Pop()
+	if pkt == nil {
 		return
 	}
-	p.busy = true
-	pkt := p.queue[0]
-	p.queue = p.queue[1:]
+	p.serving = pkt
 	p.queueSize -= pkt.Size
 	d := p.fw.Config.ProcRate.Serialize(pkt.Size)
 	if extra := p.fw.sessionDelay(pkt); extra > 0 {
 		d += extra
 	}
-	p.fw.EventScheduler().AfterTag(tagFirewall, d, func() {
-		p.fw.finish(pkt)
-		p.serveNext()
-	})
+	p.fw.EventScheduler().AfterCall(tagFirewall, d, inspectedCall, p, nil)
+}
+
+// inspectedCall is the static callback for a packet leaving an
+// inspection engine: the engine finishes it, then starts the next.
+//
+//dmz:hotpath
+func inspectedCall(a, _ any) {
+	p := a.(*processor)
+	p.fw.finish(p.serving)
+	p.serving = nil
+	p.serveNext()
 }
 
 // sessionDelay charges session setup for the first packet of a new flow
@@ -234,12 +256,12 @@ func (f *Firewall) forward(pkt *netsim.Packet) {
 func (f *Firewall) SessionCount() int { return len(f.sessions) }
 
 // HeldPackets implements netsim.PacketHolder: packets waiting in engine
-// input queues plus the one inside each busy engine's service closure.
+// input queues plus the one each busy engine is inspecting.
 func (f *Firewall) HeldPackets() int {
 	held := 0
 	for _, p := range f.procs {
-		held += len(p.queue)
-		if p.busy {
+		held += p.queue.Len()
+		if p.serving != nil {
 			held++
 		}
 	}
@@ -251,11 +273,7 @@ func (f *Firewall) HeldPackets() int {
 func (f *Firewall) AuditInvariants() []error {
 	var errs []error
 	for i, p := range f.procs {
-		var queued units.ByteSize
-		for _, pkt := range p.queue {
-			queued += pkt.Size
-		}
-		if queued != p.queueSize {
+		if queued := p.queue.Bytes(); queued != p.queueSize {
 			errs = append(errs, fmt.Errorf("%s engine %d: input buffer accounting %d B != queued %d B",
 				f.Name(), i, p.queueSize, queued))
 		}

@@ -1,6 +1,7 @@
 package firewall
 
 import (
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -10,10 +11,16 @@ import (
 	"repro/internal/units"
 )
 
-// fwPath builds client -- fw -- server with symmetric 1G links and the
-// WAN latency on the server side.
-func fwPath(cfg Config, rate units.BitRate, oneWay time.Duration) (*netsim.Network, *netsim.Host, *netsim.Host, *Firewall) {
+// fwPath builds client -- fw -- server with symmetric links of the
+// given rate and the WAN latency on the server side. The network's
+// invariants are audited when the test ends.
+func fwPath(t *testing.T, cfg Config, rate units.BitRate, oneWay time.Duration) (*netsim.Network, *netsim.Host, *netsim.Host, *Firewall) {
 	n := netsim.New(1)
+	t.Cleanup(func() {
+		for _, err := range n.AuditInvariants() {
+			t.Errorf("audit: %v", err)
+		}
+	})
 	c := n.NewHost("client")
 	s := n.NewHost("server")
 	fw := New(n, "fw", cfg)
@@ -24,7 +31,7 @@ func fwPath(cfg Config, rate units.BitRate, oneWay time.Duration) (*netsim.Netwo
 }
 
 func TestForwardsAndCountsSessions(t *testing.T) {
-	n, c, s, fw := fwPath(Config{}, units.Gbps, time.Millisecond)
+	n, c, s, fw := fwPath(t, Config{}, units.Gbps, time.Millisecond)
 	srv := tcp.NewServer(s, 5001, tcp.Tuned())
 	var done *tcp.Stats
 	tcp.Dial(c, srv, 100*units.KB, tcp.Tuned(), func(st *tcp.Stats) { done = st })
@@ -41,7 +48,7 @@ func TestForwardsAndCountsSessions(t *testing.T) {
 }
 
 func TestRoutePresenceInPathHelpers(t *testing.T) {
-	n, c, s, _ := fwPath(Config{}, units.Gbps, time.Millisecond)
+	n, c, s, _ := fwPath(t, Config{}, units.Gbps, time.Millisecond)
 	path := n.Path(c.Name(), s.Name())
 	want := []string{"client", "fw", "server"}
 	if len(path) != 3 {
@@ -62,7 +69,7 @@ func TestSingleFastFlowOverflowsOneProcessor(t *testing.T) {
 	// input buffer. 10G links, 1.25G engines: a single TCP flow must
 	// lose packets at the firewall and collapse far below 10G.
 	cfg := Config{Processors: 8, ProcRate: 1250 * units.Mbps, InputBuffer: 256 * units.KB}
-	n, c, s, fw := fwPath(cfg, 10*units.Gbps, 5*time.Millisecond)
+	n, c, s, fw := fwPath(t, cfg, 10*units.Gbps, 5*time.Millisecond)
 	srv := tcp.NewServer(s, 5001, tcp.Tuned())
 	conn := tcp.Dial(c, srv, -1, tcp.Tuned(), nil)
 	n.RunFor(10 * time.Second)
@@ -115,7 +122,7 @@ func TestSequenceCheckingStripsWScale(t *testing.T) {
 	// window/RTT; disabling the feature restores full rate.
 	run := func(seqCheck bool) (units.BitRate, *Firewall) {
 		cfg := Config{SequenceChecking: seqCheck, ProcRate: 2 * units.Gbps, InputBuffer: 4 * units.MB}
-		n, c, s, fw := fwPath(cfg, units.Gbps, 5*time.Millisecond) // RTT 10ms
+		n, c, s, fw := fwPath(t, cfg, units.Gbps, 5*time.Millisecond) // RTT 10ms
 		srv := tcp.NewServer(s, 5001, tcp.Tuned())
 		var done *tcp.Stats
 		tcp.Dial(c, srv, 30*units.MB, tcp.Tuned(), func(st *tcp.Stats) { done = st })
@@ -147,7 +154,7 @@ func TestSequenceCheckingStripsWScale(t *testing.T) {
 func TestPolicyDrops(t *testing.T) {
 	rules := acl.NewList("fw-policy", acl.Deny).PermitFlow("client", "server", 5001)
 	cfg := Config{Rules: rules}
-	n, c, s, fw := fwPath(cfg, units.Gbps, time.Millisecond)
+	n, c, s, fw := fwPath(t, cfg, units.Gbps, time.Millisecond)
 	srv := tcp.NewServer(s, 5001, tcp.Tuned())
 	var ok bool
 	tcp.Dial(c, srv, 10*units.KB, tcp.Tuned(), func(*tcp.Stats) { ok = true })
@@ -171,7 +178,7 @@ func TestPolicyDrops(t *testing.T) {
 
 func TestSessionSetupDelaysFirstPacket(t *testing.T) {
 	cfg := Config{SessionSetup: 10 * time.Millisecond, ProcRate: 10 * units.Gbps}
-	n, c, s, _ := fwPath(cfg, units.Gbps, time.Microsecond)
+	n, c, s, _ := fwPath(t, cfg, units.Gbps, time.Microsecond)
 	var at time.Duration
 	s.Bind(netsim.ProtoTCP, 9, netsim.HandlerFunc(func(p *netsim.Packet) {
 		at = s.Now().Duration() // the server's clock: the control clock lags it inside a window
@@ -190,7 +197,7 @@ func TestBypassSkipsInspection(t *testing.T) {
 	// §7.3: an SDN-style bypass for a verified flow must avoid both the
 	// engine queue and sanitization.
 	cfg := Config{SequenceChecking: true, ProcRate: units.Mbps, InputBuffer: 2 * units.KB}
-	n, c, s, fw := fwPath(cfg, units.Gbps, time.Microsecond)
+	n, c, s, fw := fwPath(t, cfg, units.Gbps, time.Microsecond)
 	fw.Bypass = func(p *netsim.Packet) bool { return p.Flow.Src == "client" || p.Flow.Dst == "client" }
 	var got *netsim.Packet
 	s.Bind(netsim.ProtoTCP, 9, netsim.HandlerFunc(func(p *netsim.Packet) { got = p }))
@@ -213,7 +220,7 @@ func TestBypassSkipsInspection(t *testing.T) {
 }
 
 func TestCanonicalSessionSharedAcrossDirections(t *testing.T) {
-	n, c, s, fw := fwPath(Config{}, units.Gbps, time.Microsecond)
+	n, c, s, fw := fwPath(t, Config{}, units.Gbps, time.Microsecond)
 	fwd := netsim.FlowKey{Src: "client", Dst: "server", SrcPort: 50000, DstPort: 9, Proto: netsim.ProtoTCP}
 	s.Bind(netsim.ProtoTCP, 9, netsim.HandlerFunc(func(*netsim.Packet) {}))
 	c.Bind(netsim.ProtoTCP, 50000, netsim.HandlerFunc(func(*netsim.Packet) {}))
@@ -222,5 +229,59 @@ func TestCanonicalSessionSharedAcrossDirections(t *testing.T) {
 	n.Run()
 	if fw.SessionCount() != 1 {
 		t.Errorf("sessions = %d, want 1 shared across directions", fw.SessionCount())
+	}
+}
+
+// TestFlowHashMatchesFNV pins the engine assignment: flowHash must give
+// the value hash/fnv's FNV-1a gives over the same bytes, so every flow
+// keeps the inspection engine it always had.
+func TestFlowHashMatchesFNV(t *testing.T) {
+	keys := []netsim.FlowKey{
+		{},
+		{Src: "client", Dst: "server", SrcPort: 50000, DstPort: 5001, Proto: netsim.ProtoTCP},
+		{Src: "server", Dst: "client", SrcPort: 5001, DstPort: 50000, Proto: netsim.ProtoTCP},
+		{Src: "campus-host-17", Dst: "wan-dtn", SrcPort: 65535, DstPort: 1, Proto: netsim.ProtoUDP},
+		{Src: "é", Dst: "a\x00b", SrcPort: 256, DstPort: 255},
+	}
+	for _, k := range keys {
+		h := fnv.New32a()
+		h.Write([]byte(k.Src))
+		h.Write([]byte(k.Dst))
+		h.Write([]byte{byte(k.SrcPort >> 8), byte(k.SrcPort), byte(k.DstPort >> 8), byte(k.DstPort)})
+		if got, want := flowHash(k), h.Sum32(); got != want {
+			t.Errorf("flowHash(%v) = %#x, hash/fnv gives %#x", k, got, want)
+		}
+	}
+}
+
+// TestInspectionAllocationFree sends batches of packets on four flows
+// through the inspection engines, faster than they inspect, so every
+// engine a flow lands on holds a standing queue. Once the engines'
+// rings and the session table have reached their size, a batch
+// allocates nothing.
+func TestInspectionAllocationFree(t *testing.T) {
+	n, c, s, fw := fwPath(t, Config{}, 10*units.Gbps, time.Microsecond)
+	delivered := 0
+	s.Bind(netsim.ProtoUDP, 9, netsim.HandlerFunc(func(p *netsim.Packet) {
+		delivered++
+		s.ReleasePacket(p)
+	}))
+
+	const flows, perFlow = 4, 32
+	send := func() {
+		for i := 0; i < flows*perFlow; i++ {
+			p := c.NewPacket()
+			p.Flow = netsim.FlowKey{Src: "client", Dst: "server", SrcPort: uint16(50000 + i%flows), DstPort: 9, Proto: netsim.ProtoUDP}
+			p.Size = 1500
+			c.Send(p)
+		}
+		n.Run()
+	}
+	if allocs := testing.AllocsPerRun(4, send); allocs != 0 {
+		t.Errorf("a warmed batch of %d inspected packets allocates %v times, want 0", flows*perFlow, allocs)
+	}
+	if want := 5 * flows * perFlow; delivered != want || fw.Stats.Inspected != uint64(want) || fw.Stats.BufferDrops != 0 {
+		t.Fatalf("delivered %d, inspected %d, buffer drops %d; want %d, %d, 0",
+			delivered, fw.Stats.Inspected, fw.Stats.BufferDrops, want, want)
 	}
 }

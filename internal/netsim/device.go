@@ -118,7 +118,7 @@ type Device struct {
 
 	// Degraded-mode shared store-and-forward engine state: the packets
 	// waiting, their bytes, and the packet in service (nil when idle).
-	sfQueue   []*Packet
+	sfQueue   PacketFIFO
 	sfBytes   units.ByteSize
 	sfServing *Packet
 	utilCheck sim.Time               // start of current utilization window
@@ -185,7 +185,7 @@ func (d *Device) Originate(pkt *Packet, out *Port) {
 	d.idSeq++
 	pkt.ID = d.idBase | d.idSeq
 	pkt.SentAt = d.ctx.sched.Now()
-	d.net.originated.Add(1)
+	d.ctx.ledger.originated++
 	out.Send(pkt)
 }
 
@@ -195,7 +195,7 @@ func (d *Device) Originate(pkt *Packet, out *Port) {
 //
 //dmz:hotpath
 func (d *Device) Absorb(pkt *Packet) {
-	d.net.absorbed.Add(1)
+	d.ctx.ledger.absorbed++
 	d.ctx.pool.put(pkt)
 }
 
@@ -282,7 +282,7 @@ func (d *Device) sfEnqueue(pkt *Packet) {
 		d.net.countDrop(d.ctx, pkt, DropSFOverflow, d.Name(), "")
 		return
 	}
-	d.sfQueue = append(d.sfQueue, pkt)
+	d.sfQueue.Push(pkt)
 	d.sfBytes += pkt.Size
 	if d.sfServing == nil {
 		d.sfServe()
@@ -291,11 +291,10 @@ func (d *Device) sfEnqueue(pkt *Packet) {
 
 // sfServe starts serving the next queued packet, if any.
 func (d *Device) sfServe() {
-	if len(d.sfQueue) == 0 {
+	pkt := d.sfQueue.Pop()
+	if pkt == nil {
 		return
 	}
-	pkt := d.sfQueue[0]
-	d.sfQueue = d.sfQueue[1:]
 	d.sfBytes -= pkt.Size
 	d.sfServing = pkt
 	rate := d.Config.SFRate

@@ -51,8 +51,9 @@ var DefaultShards = 1
 // the shards to T if any drained arrival was due exactly at T (one
 // re-run suffices: cut delays are strictly positive, so deliveries
 // triggered by events at T land strictly after T), (4) runs control
-// events at T with every shard quiesced at exactly T, and (5) merges
-// the window's captured trace events canonically.
+// events at T with every shard quiesced at exactly T, (5) evens out
+// the shards' packet free-lists, and (6) merges the window's captured
+// trace events canonically.
 //
 // Control events at a quiesced barrier are what make experiment code
 // shard-safe without modification: anything scheduled on Network.Sched
@@ -265,7 +266,59 @@ func (e *Engine) window(t sim.Time) {
 	// more drain parks them as ordinary scheduled deliveries for the
 	// next window.
 	e.drain(-1)
+	e.balancePools()
 	e.flush()
+}
+
+// balancePools evens out the shards' packet free-lists. A bulk transfer
+// allocates its segments on the sender's shard and releases them on the
+// receiver's, so without this one pool misses on every other segment
+// while the other grows for the whole run. Shard i (in rank order) ends
+// with total/k packets, one more for each of the first total%k, moved
+// from the end of one list to the end of another. It runs with every
+// shard parked, and once each list's capacity has reached its peak it
+// allocates nothing.
+func (e *Engine) balancePools() {
+	k := len(e.shards)
+	if k < 2 {
+		return
+	}
+	total := 0
+	for _, sc := range e.shards {
+		total += len(sc.pool.free)
+	}
+	share := func(i int) int {
+		if i < total%k {
+			return total/k + 1
+		}
+		return total / k
+	}
+	r := 0 // the first shard that may still be short, in rank order
+	for d, sc := range e.shards {
+		from := &sc.pool
+		for len(from.free) > share(d) {
+			for len(e.shards[r].pool.free) >= share(r) {
+				r++
+			}
+			to := &e.shards[r].pool
+			m := min(len(from.free)-share(d), share(r)-len(to.free))
+			moved := from.free[len(from.free)-m:]
+			to.free = append(to.free, moved...)
+			clear(moved)
+			from.free = from.free[:len(from.free)-m]
+		}
+	}
+}
+
+// FreePackets returns the length of each shard's packet free-list, in
+// rank order. Like PacketsReused it is a diagnostic: how many packets
+// sit in which pool depends on the partition.
+func (e *Engine) FreePackets() []int {
+	out := make([]int, len(e.shards))
+	for i, sc := range e.shards {
+		out[i] = len(sc.pool.free)
+	}
+	return out
 }
 
 // advance moves every clock forward to t.

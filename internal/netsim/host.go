@@ -78,7 +78,7 @@ func (h *Host) EphemeralPort() uint16 {
 func (h *Host) Receive(pkt *Packet, _ *Port) {
 	key := protoPort{pkt.Flow.Proto, pkt.Flow.DstPort}
 	if fn, ok := h.handlers[key]; ok {
-		h.net.delivered.Add(1)
+		h.ctx.ledger.delivered++
 		fn.Deliver(pkt)
 		return
 	}
@@ -92,7 +92,7 @@ func (h *Host) Send(pkt *Packet) {
 	h.idSeq++
 	pkt.ID = h.idBase | h.idSeq
 	pkt.SentAt = h.ctx.sched.Now()
-	h.net.injected.Add(1)
+	h.ctx.ledger.injected++
 	out, ok := h.fib[pkt.Flow.Dst]
 	if !ok {
 		h.net.countDrop(h.ctx, pkt, DropNoLocalRoute, h.Name(), pkt.Flow.Dst)

@@ -3,8 +3,6 @@ package netsim
 import (
 	"fmt"
 	"sort"
-
-	"repro/internal/units"
 )
 
 // PacketHolder is implemented by custom nodes that buffer packets for
@@ -52,31 +50,47 @@ func (c Conservation) String() string {
 		int64(c.Injected)+int64(c.Originated)-int64(c.Delivered)-int64(c.Dropped)-int64(c.Absorbed)-int64(c.InFlight))
 }
 
-// Conservation computes the current packet balance. InFlight is counted
+// tally is one execution context's column totals of the conservation
+// ledger: the packets its events injected, originated, delivered,
+// dropped and absorbed.
+type tally struct {
+	injected, originated, delivered, dropped, absorbed uint64
+}
+
+func (c *Conservation) add(t *tally) {
+	c.Injected += t.injected
+	c.Originated += t.originated
+	c.Delivered += t.delivered
+	c.Dropped += t.dropped
+	c.Absorbed += t.absorbed
+}
+
+// Conservation computes the current packet balance. The five columns
+// are the sums of every execution context's tally. InFlight is counted
 // structurally — port queues, packets being serialized, packets on a
 // wire (each port's arrivals line, or its outbox while it waits for the
 // barrier drain to a peer on another shard), packets queued in or
 // served by a degraded device's store-and-forward engine, and
 // PacketHolder nodes — not derived from the other counters, so
 // imbalance detects real leaks. Under sharded execution, call it only
-// while the shards are parked: at rest, or from a control event.
+// while the shards are parked: at rest, or from a control event. The
+// shards write their tallies without synchronization, and the barrier
+// handshake is what orders those writes before this read.
 func (n *Network) Conservation() Conservation {
-	c := Conservation{
-		Injected:   n.injected.Load(),
-		Originated: n.originated.Load(),
-		Delivered:  n.delivered.Load(),
-		Dropped:    n.dropped.Load(),
-		Absorbed:   n.absorbed.Load(),
+	var c Conservation
+	c.add(&n.ctl.ledger)
+	for _, sc := range n.engineShards() {
+		c.add(&sc.ledger)
 	}
 	for _, node := range n.nodes {
 		for _, p := range node.Ports() {
-			c.InFlight += uint64(len(p.queue) + len(p.prioQueue) + p.arrivals.Len() + len(p.outbox))
+			c.InFlight += uint64(p.queue.Len() + p.prioQueue.Len() + p.arrivals.Len() + len(p.outbox))
 			if p.transmitting {
 				c.InFlight++
 			}
 		}
 		if d, ok := node.(*Device); ok {
-			c.InFlight += uint64(len(d.sfQueue))
+			c.InFlight += uint64(d.sfQueue.Len())
 			if d.sfServing != nil {
 				c.InFlight++
 			}
@@ -103,7 +117,8 @@ func (n *Network) Conservation() Conservation {
 // The harness package runs this after every sweep-driven simulation.
 func (n *Network) AuditInvariants() []error {
 	var errs []error
-	if c := n.Conservation(); !c.Balanced() {
+	c := n.Conservation()
+	if !c.Balanced() {
 		errs = append(errs, fmt.Errorf("packet conservation violated: %v", c))
 	}
 
@@ -120,10 +135,7 @@ func (n *Network) AuditInvariants() []error {
 			errs = append(errs, p.auditFluid()...)
 		}
 		if d, ok := node.(*Device); ok {
-			var sf units.ByteSize
-			for _, pkt := range d.sfQueue {
-				sf += pkt.Size
-			}
+			sf := d.sfQueue.Bytes()
 			if sf != d.sfBytes {
 				errs = append(errs, fmt.Errorf("%s: store-and-forward pool accounting %d B != queued %d B", name, d.sfBytes, sf))
 			}
@@ -137,8 +149,8 @@ func (n *Network) AuditInvariants() []error {
 	for _, c := range n.DropStats {
 		sites += c
 	}
-	if dropped := n.dropped.Load(); sites != dropped {
-		errs = append(errs, fmt.Errorf("drop accounting disagrees: DropStats %d, ledger dropped %d", sites, dropped))
+	if sites != c.Dropped {
+		errs = append(errs, fmt.Errorf("drop accounting disagrees: DropStats %d, ledger dropped %d", sites, c.Dropped))
 	}
 
 	if n.Sched.Now() < 0 {
@@ -158,13 +170,7 @@ func (n *Network) AuditInvariants() []error {
 func (p *Port) auditQueues() []error {
 	var errs []error
 	name := fmt.Sprintf("%s port %d", p.Owner.Name(), p.Index)
-	var bulk, prio units.ByteSize
-	for _, pkt := range p.queue {
-		bulk += pkt.Size
-	}
-	for _, pkt := range p.prioQueue {
-		prio += pkt.Size
-	}
+	bulk, prio := p.queue.Bytes(), p.prioQueue.Bytes()
 	if bulk != p.queueBytes {
 		errs = append(errs, fmt.Errorf("%s: bulk queue accounting %d B != queued %d B", name, p.queueBytes, bulk))
 	}

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/sim"
@@ -68,29 +67,15 @@ type Network struct {
 
 	dropMu sync.Mutex
 
-	// Conservation accounting (see invariant.go). Every packet enters the
-	// network exactly once through Host.Send and leaves exactly once:
-	// delivered to a transport handler or destroyed through countDrop.
-	// Packets still inside the network are not counted here but where
-	// they sit: queues, wires, outboxes and holders. Atomics: the
-	// increments are commutative sums, so concurrent shards keep the
-	// ledger exact without ordering.
-	injected  atomic.Uint64
-	delivered atomic.Uint64
-	dropped   atomic.Uint64
-
-	// In-network sources and sinks. Interceptors (content caches,
-	// internal/content) create reply traffic inside the network through
-	// Device.Originate and terminate request traffic through
-	// Device.Absorb. They get their own ledger columns so cache-served
-	// bytes audit cleanly instead of masquerading as host traffic:
-	// injected + originated = delivered + dropped + absorbed + in-flight.
-	originated atomic.Uint64
-	absorbed   atomic.Uint64
+	// Conservation accounting (see invariant.go) has no network-wide
+	// counter: every execution context tallies the packets its own
+	// events inject, originate, deliver, drop and absorb, and
+	// Conservation sums the tallies. Packets still inside the network
+	// are counted where they sit: queues, wires, outboxes and holders.
 
 	// ctl is the control execution context: scheduler Sched, the
-	// network-level packet free-list, rank 0. Nodes hold it until the
-	// engine installs its partition.
+	// network-level packet free-list and ledger tally, rank 0. Nodes
+	// hold it until the engine installs its partition.
 	ctl    *shardCtx
 	engine *Engine // nil until the first run or InstallShards
 
@@ -361,9 +346,10 @@ func (n *Network) defaultQueue(node Node, rate units.BitRate, override units.Byt
 
 // countDrop is the single drop-accounting sink. sc is the execution
 // context of the code destroying the packet: its clock stamps the trace
-// event and its capture bus receives it, so drops order correctly under
-// sharded execution. The site tally is commutative, so a mutex (not
-// ordering) is all it needs.
+// event, its capture bus receives it, and its ledger tally counts it,
+// so drops order correctly under sharded execution. The site tally is
+// shared by every context and commutative, so a mutex (not ordering) is
+// all it needs.
 func (n *Network) countDrop(sc *shardCtx, pkt *Packet, reason DropReason, node, detail string) {
 	site := DropSite{Reason: reason, Node: node}
 	n.dropMu.Lock()
@@ -372,7 +358,7 @@ func (n *Network) countDrop(sc *shardCtx, pkt *Packet, reason DropReason, node, 
 		n.DropHook(pkt, site)
 	}
 	n.dropMu.Unlock()
-	n.dropped.Add(1)
+	sc.ledger.dropped++
 	n.emitDrop(sc, pkt, site, detail)
 }
 

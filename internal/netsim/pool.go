@@ -1,19 +1,17 @@
 package netsim
 
-// Packet free-list. The TCP hot path creates (and consumes) one Packet
+// Packet free-lists. The TCP hot path creates (and consumes) one Packet
 // per segment and per ACK; at 100G line rates that is millions of heap
 // allocations per simulated second. NewPacket/ReleasePacket recycle
-// packets through a per-network free-list instead.
-//
-// The list is deliberately per-Network (which means per-scheduler) and
-// NOT a sync.Pool:
+// packets through free-lists instead: one per execution context (the
+// control context and each shard), never a sync.Pool:
 //
 //   - Determinism: sync.Pool reuse depends on GC timing and P-local
 //     caches, so two identical runs could see different Packet object
-//     identities. The free-list is owned by one network, used only
-//     from its (single-goroutine) event loop, and recycles in strict
-//     LIFO order — runs stay bit-for-bit reproducible, and parallel
-//     sweep workers (internal/harness) never share packets.
+//     identities. A context's free-list is used only from that
+//     context's (single-goroutine) events and recycles in strict LIFO
+//     order — runs stay bit-for-bit reproducible, and parallel sweep
+//     workers (internal/harness) never share packets.
 //   - Ledger integrity: the conservation audit (invariant.go) counts a
 //     packet injected when Host.Send stamps it. A released packet
 //     re-enters through NewPacket as a *new* logical packet — zeroed,
@@ -27,15 +25,16 @@ package netsim
 // and only once (a double release panics; it would alias two live
 // packets). Middleboxes, queues, and holders must never release:
 // structurally in-flight packets are still counted by the audit.
-
-// Under sharded execution the free-list splits per shard context: each
-// shard's event goroutine recycles through its own pktPool, so the hot
-// path stays single-owner and lock-free, and object-identity reuse stays
-// deterministic per shard. A host's transport allocates and releases
-// through its own context's pool (Host.NewPacket / Host.ReleasePacket).
-// Note the reuse *counts* are partition-dependent — which pool a release
-// lands in depends on the cut — so PacketsReused is diagnostics, never
-// exported into golden metrics.
+//
+// A host's transport allocates and releases through its own context's
+// pool (Host.NewPacket / Host.ReleasePacket), so the hot path stays
+// single-owner and lock-free. A transfer across a shard cut allocates
+// on the sender's shard and releases on the receiver's; the engine
+// evens the shards' lists out at every barrier, while every worker is
+// parked (Engine.balancePools), so neither pool keeps missing nor keeps
+// growing. Which pool a packet lands in therefore depends on the
+// partition: PacketsReused is diagnostics, never exported into golden
+// metrics.
 
 // pktPool is one execution context's packet free-list. Packets here
 // have left the simulation (released after handler consumption), so the

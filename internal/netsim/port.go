@@ -57,8 +57,8 @@ type Port struct {
 	Counters PortCounters
 
 	peer         *Port
-	queue        []*Packet
-	prioQueue    []*Packet // strict-priority lane for circuit traffic
+	queue        PacketFIFO
+	prioQueue    PacketFIFO // strict-priority lane for circuit traffic
 	queueBytes   units.ByteSize
 	prioBytes    units.ByteSize
 	transmitting bool
@@ -119,7 +119,7 @@ func (p *Port) Now() sim.Time { return p.ctx.sched.Now() }
 
 // QueueLen returns the number of packets waiting in the egress queues,
 // excluding the one being transmitted.
-func (p *Port) QueueLen() int { return len(p.queue) + len(p.prioQueue) }
+func (p *Port) QueueLen() int { return p.queue.Len() + p.prioQueue.Len() }
 
 // QueueBytes returns the bytes waiting in both egress lanes.
 func (p *Port) QueueBytes() units.ByteSize { return p.queueBytes + p.prioBytes }
@@ -151,14 +151,14 @@ func (p *Port) Send(pkt *Packet) {
 				p.dropForQueue(pkt)
 				return
 			}
-			p.prioQueue = append(p.prioQueue, pkt)
+			p.prioQueue.Push(pkt)
 			p.prioBytes += pkt.Size
 		} else {
 			if p.queueBytes+pkt.Size > cap {
 				p.dropForQueue(pkt)
 				return
 			}
-			p.queue = append(p.queue, pkt)
+			p.queue.Push(pkt)
 			p.queueBytes += pkt.Size
 		}
 		p.emitQueueEvent(telemetry.EvEnqueue, pkt)
@@ -234,20 +234,16 @@ func (p *Port) finishTx(pkt *Packet) {
 	}
 	p.Link.carry(p, pkt)
 
-	switch {
-	case len(p.prioQueue) > 0:
-		next := p.prioQueue[0]
-		p.prioQueue = p.prioQueue[1:]
+	next := p.prioQueue.Pop()
+	if next != nil {
 		p.prioBytes -= next.Size
-		p.emitQueueEvent(telemetry.EvDequeue, next)
-		p.startTx(next)
-	case len(p.queue) > 0:
-		next := p.queue[0]
-		p.queue = p.queue[1:]
+	} else if next = p.queue.Pop(); next != nil {
 		p.queueBytes -= next.Size
+	}
+	if next != nil {
 		p.emitQueueEvent(telemetry.EvDequeue, next)
 		p.startTx(next)
-	default:
+	} else {
 		p.transmitting = false
 	}
 	if p.capFloor > 0 && p.queueBytes <= p.QueueCap && p.prioBytes <= p.QueueCap {

@@ -43,6 +43,11 @@ type shardCtx struct {
 	pool pktPool
 	rank int // 0 = control; shards are 1..N
 
+	// ledger is the context's share of the conservation ledger. Only the
+	// context's own events write it — and control events, which run
+	// while every shard is parked — so plain counters stay exact.
+	ledger tally
+
 	// Engine state for shard contexts: the trace capture behind bus and
 	// the worker handshake channels (nil for a single shard).
 	cap   *capture

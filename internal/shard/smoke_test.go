@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/netsim"
+	"repro/internal/tcp"
 	"repro/internal/units"
 )
 
@@ -104,5 +105,57 @@ func TestConservationCountsPacketsOnTheWire(t *testing.T) {
 		for _, err := range n.AuditInvariants() {
 			t.Errorf("shards=%d: audit: %v", shards, err)
 		}
+	}
+}
+
+// TestEngineBulkTransferAllocationFree runs a window-limited bulk TCP
+// transfer across a cut at two shards, so the sender allocates every
+// data segment on one shard and the receiver releases it on the other.
+// After warm-up, a further RunFor allocates fewer objects than 1% of
+// the packets it carries: the barrier sends released packets home by
+// evening out the shards' free-lists, which at rest differ by at most
+// one packet.
+func TestEngineBulkTransferAllocationFree(t *testing.T) {
+	n := netsim.NewIsolated(1)
+	a := n.NewHost("a")
+	b := n.NewHost("b")
+	s1 := n.NewDevice("s1", netsim.DeviceConfig{})
+	s2 := n.NewDevice("s2", netsim.DeviceConfig{})
+	jumbo := netsim.LinkConfig{Rate: 10 * units.Gbps, Delay: 10 * time.Microsecond, MTU: 9000}
+	n.Connect(a, s1, jumbo)
+	n.Connect(s2, b, jumbo)
+	jumbo.Delay = 5 * time.Millisecond
+	n.Connect(s1, s2, jumbo)
+	n.ComputeRoutes()
+	eng, err := Install(n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A fixed 4 MB receive window keeps the flow window-limited, so its
+	// packets in flight — and every structure sized by them — stop
+	// growing once the window is open.
+	opts := tcp.Options{WindowScale: true, RcvBuf: 4 * units.MB}
+	tcp.Dial(a, tcp.NewServer(b, 5001, opts), -1, opts, nil)
+	n.RunFor(time.Second)
+
+	var carried uint64
+	allocs := testing.AllocsPerRun(1, func() {
+		before := n.Conservation().Injected
+		n.RunFor(500 * time.Millisecond)
+		carried = n.Conservation().Injected - before
+	})
+	free := eng.FreePackets()
+	t.Logf("RunFor carried %d packets and allocated %v objects; shard free-lists hold %v", carried, allocs, free)
+	if carried < 10000 {
+		t.Fatalf("the transfer carried only %d packets in 500 ms", carried)
+	}
+	if allocs >= float64(carried)/100 {
+		t.Errorf("RunFor allocated %v objects carrying %d packets, want fewer than 1%%", allocs, carried)
+	}
+	if len(free) != 2 || free[0]-free[1] > 1 || free[1]-free[0] > 1 {
+		t.Errorf("shard free-lists at rest hold %v packets, want within one of each other", free)
+	}
+	for _, err := range n.AuditInvariants() {
+		t.Errorf("audit: %v", err)
 	}
 }

@@ -1,5 +1,7 @@
 package tcp
 
+import "sort"
+
 // byteRange is a half-open [start, end) interval of sequence space.
 type byteRange struct {
 	start, end int64
@@ -14,15 +16,13 @@ type rangeSet struct {
 }
 
 // add inserts [start, end), merging it with every range it overlaps or
-// touches.
+// touches. The first such range is found by bisection: the ranges are
+// sorted and disjoint, so their ends ascend.
 func (s *rangeSet) add(start, end int64) {
 	if end <= start {
 		return
 	}
-	i := 0
-	for i < len(s.r) && s.r[i].end < start {
-		i++
-	}
+	i := sort.Search(len(s.r), func(i int) bool { return s.r[i].end >= start })
 	// Ranges i..j-1 overlap or touch [start, end): fold them in.
 	j := i
 	for ; j < len(s.r) && s.r[j].start <= end; j++ {

@@ -11,8 +11,9 @@ import (
 // opcode, position, length.
 func FuzzRangeSet(f *testing.F) {
 	// Seeds: overlap merge, adjacency merge, trim through a range,
-	// clear-then-reuse, a degenerate (end <= start) add, and the
-	// receiver's absorb through two ranges, leaving a third.
+	// clear-then-reuse, a degenerate (end <= start) add, the receiver's
+	// absorb through two ranges, leaving a third, and an add that
+	// touches the range before it.
 	f.Add([]byte{0, 10, 20, 0, 15, 30})                   // overlapping adds
 	f.Add([]byte{0, 10, 10, 0, 20, 10})                   // exactly adjacent adds
 	f.Add([]byte{0, 5, 40, 5, 12, 0})                     // add then trim mid-range
@@ -20,6 +21,7 @@ func FuzzRangeSet(f *testing.F) {
 	f.Add([]byte{7, 30, 10, 0, 8, 0})                     // reversed + zero-length adds
 	f.Add([]byte{0, 0, 255, 0, 64, 255, 5, 200, 0})       // big spans, deep trim
 	f.Add([]byte{0, 10, 3, 0, 12, 3, 0, 40, 3, 4, 12, 0}) // absorb at 36 through [30,33) and [36,39)
+	f.Add([]byte{0, 10, 3, 0, 11, 3})                     // [33,36) touches [30,33): the bisection must find it
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const space = 4 * 256 // every encodable position+length fits
