@@ -80,8 +80,8 @@ func fetch(client *http.Client, url string) ([]byte, error) {
 
 // defaultLiveFilter selects the series worth watching by default: the
 // closed loop's detection metrics against the injected ground truth,
-// simulation progress, and telemetry health.
-const defaultLiveFilter = `^(sim_now_seconds|fault_|dropped_events|tcp_bytes_acked|tcp_retransmits)`
+// and simulation progress.
+const defaultLiveFilter = `^(sim_now_seconds|fault_|tcp_bytes_acked|tcp_retransmits)`
 
 // cacheFilter selects the content-cache series (the -cache flag's
 // default view).

@@ -131,30 +131,22 @@ type Circuit struct {
 // Released reports whether the circuit has been torn down.
 func (c *Circuit) Released() bool { return c.released }
 
-// pathLinks walks the routing tables from src to dst collecting the
-// traversed links and the first forwarding device (where the classifier
-// is installed).
+// pathLinks returns the routed path from src to dst: its links, its
+// first forwarding device (where the classifier is installed; nil on a
+// direct host-to-host link) and its node names.
 func pathLinks(net *netsim.Network, src, dst string) ([]*netsim.Link, *netsim.Device, []string, error) {
 	names := net.Path(src, dst)
 	if names == nil {
 		return nil, nil, nil, ErrNoPath
 	}
-	var links []*netsim.Link
 	var ingress *netsim.Device
-	cur := net.Node(src)
-	for cur.Name() != dst {
-		r := cur.(netsim.Router)
-		out := r.RouteTo(dst)
-		links = append(links, out.Link)
-		next := out.Peer().Owner
-		if ingress == nil {
-			if d, ok := next.(*netsim.Device); ok {
-				ingress = d
-			}
+	for _, name := range names[1:] {
+		if d, ok := net.Node(name).(*netsim.Device); ok {
+			ingress = d
+			break
 		}
-		cur = next
 	}
-	return links, ingress, names, nil
+	return net.PathInfo(src, dst), ingress, names, nil
 }
 
 // Reserve creates and provisions a circuit between two hosts entirely

@@ -73,13 +73,6 @@ type Cache struct {
 	// Refetches counts interests that found an expired PIT entry and
 	// re-forwarded upstream.
 	Refetches uint64
-
-	// FluidDelivered / FluidDropped accumulate background fluid bytes
-	// observed through WatchFluid taps — the aggregate load sharing the
-	// cache's egress links, visible to sizing decisions even though it
-	// never traverses the packet interception path.
-	FluidDelivered units.ByteSize
-	FluidDropped   units.ByteSize
 }
 
 // pitEntry tracks one pending upstream fetch.
@@ -325,18 +318,6 @@ func (c *Cache) collect(emit telemetry.EmitFunc) {
 	emit("content_cache_store_budget_bytes", l, float64(c.store.Budget()))
 	emit("content_cache_store_chunks", l, float64(c.store.Len()))
 	emit("content_cache_pit_pending", l, float64(len(c.pit)))
-}
-
-// WatchFluid subscribes the cache to a port's fluid-deposit tap (see
-// netsim.FluidQueue.Tap): background aggregate bytes settle in
-// rate-space and never appear as packets, so without the tap a cache
-// sizing itself against egress load would undercount by the whole
-// background share.
-func (c *Cache) WatchFluid(q *netsim.FluidQueue) {
-	q.Tap = func(delivered, dropped units.ByteSize) {
-		c.FluidDelivered += delivered
-		c.FluidDropped += dropped
-	}
 }
 
 func bitGet(bm []uint64, i int) bool { return bm[i/64]&(1<<(i%64)) != 0 }

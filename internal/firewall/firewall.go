@@ -17,8 +17,8 @@
 //     firewall clearing the RFC 1323 window-scale option from SYNs,
 //     silently capping every connection's window at 64 KB.
 //
-// A Firewall is a netsim.Node and netsim.Router, so it drops into any
-// topology exactly like a switch would.
+// A Firewall is a netsim.Node, so it drops into any topology exactly
+// like a switch would.
 package firewall
 
 import (
@@ -106,7 +106,6 @@ type Firewall struct {
 	Stats  Counters
 
 	net      *netsim.Network
-	fib      map[string]*netsim.Port
 	procs    []*processor
 	sessions map[netsim.FlowKey]sim.Time // canonical flow -> created
 
@@ -121,7 +120,6 @@ func New(net *netsim.Network, name string, cfg Config) *Firewall {
 	fw := &Firewall{
 		Config:   cfg,
 		net:      net,
-		fib:      make(map[string]*netsim.Port),
 		sessions: make(map[netsim.FlowKey]sim.Time),
 	}
 	fw.Init(name)
@@ -130,22 +128,6 @@ func New(net *netsim.Network, name string, cfg Config) *Firewall {
 	}
 	net.Register(name, fw)
 	return fw
-}
-
-// SetRoute implements netsim.Router.
-func (f *Firewall) SetRoute(dst string, out *netsim.Port) { f.fib[dst] = out }
-
-// RouteTo implements netsim.Router.
-func (f *Firewall) RouteTo(dst string) *netsim.Port { return f.fib[dst] }
-
-// canonical returns a direction-independent session key so both
-// directions of a flow share one session and one processor.
-func canonical(k netsim.FlowKey) netsim.FlowKey {
-	r := k.Reverse()
-	if r.Src < k.Src || (r.Src == k.Src && r.SrcPort < k.SrcPort) {
-		return r
-	}
-	return k
 }
 
 // flowHash is 32-bit FNV-1a over the key's source and destination names
@@ -176,7 +158,7 @@ func (f *Firewall) Receive(pkt *netsim.Packet, in *netsim.Port) {
 		f.forward(pkt)
 		return
 	}
-	p := f.procs[flowHash(canonical(pkt.Flow))%uint32(len(f.procs))]
+	p := f.procs[flowHash(pkt.Flow.Canonical())%uint32(len(f.procs))]
 
 	if p.queueSize+pkt.Size > f.Config.InputBuffer {
 		f.Stats.BufferDrops++
@@ -219,7 +201,7 @@ func inspectedCall(a, _ any) {
 // sessionDelay charges session setup for the first packet of a new flow
 // and registers the session.
 func (f *Firewall) sessionDelay(pkt *netsim.Packet) time.Duration {
-	key := canonical(pkt.Flow)
+	key := pkt.Flow.Canonical()
 	if _, ok := f.sessions[key]; ok {
 		return 0
 	}
@@ -244,8 +226,8 @@ func (f *Firewall) finish(pkt *netsim.Packet) {
 }
 
 func (f *Firewall) forward(pkt *netsim.Packet) {
-	out, ok := f.fib[pkt.Flow.Dst]
-	if !ok {
+	out := f.RouteTo(pkt.Flow.Dst)
+	if out == nil {
 		f.net.CountDropReason(pkt, netsim.DropNoRoute, f.Name(), pkt.Flow.Dst)
 		return
 	}

@@ -27,7 +27,7 @@ type HAPair struct {
 // reroute records a route to flip on failover: on device, destination
 // dst moves from viaActive to viaStandby (and back on failback).
 type reroute struct {
-	dev        netsim.Router
+	dev        netsim.Node
 	dst        string
 	viaActive  *netsim.Port
 	viaStandby *netsim.Port
@@ -43,7 +43,7 @@ func NewHAPair(net *netsim.Network, active, standby *Firewall, checkEvery time.D
 // Protect registers a destination whose route on dev should follow the
 // healthy firewall: viaActive when the active member is up, viaStandby
 // after failover.
-func (p *HAPair) Protect(dev netsim.Router, dst string, viaActive, viaStandby *netsim.Port) {
+func (p *HAPair) Protect(dev netsim.Node, dst string, viaActive, viaStandby *netsim.Port) {
 	p.reroutes = append(p.reroutes, reroute{dev, dst, viaActive, viaStandby})
 	dev.SetRoute(dst, viaActive)
 }

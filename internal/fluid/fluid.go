@@ -130,9 +130,7 @@ type Aggregate struct {
 	ceiling    float64 // per-flow window ceiling in bits/s (0 = none)
 	baseDemand float64 // λ·S·8 bits/s
 
-	demand    float64 // offered bits/s at the last tick
-	delivered float64 // end-to-end delivered bits/s at the last tick
-	lossP     float64 // smoothed end-to-end loss fraction
+	lossP float64 // smoothed end-to-end loss fraction
 
 	// Cumulative byte odometers, read by experiment reports; tagged so
 	// dmzvet proves every tick advances both together.
@@ -145,12 +143,6 @@ func (a *Aggregate) Name() string { return a.cfg.Name }
 
 // RTT returns the path round-trip time the Mathis model uses.
 func (a *Aggregate) RTT() time.Duration { return a.rtt }
-
-// OfferedRate returns the offered load at the last tick.
-func (a *Aggregate) OfferedRate() units.BitRate { return units.BitRate(a.demand) }
-
-// DeliveredRate returns the end-to-end delivered rate at the last tick.
-func (a *Aggregate) DeliveredRate() units.BitRate { return units.BitRate(a.delivered) }
 
 // LossRate returns the smoothed end-to-end loss fraction the aggregate
 // currently experiences.
@@ -327,7 +319,6 @@ func (e *Engine) tick() {
 				d = limit
 			}
 		}
-		a.demand = d
 		r := d
 		acc := 1.0
 		for _, ps := range a.path {
@@ -335,7 +326,6 @@ func (e *Engine) tick() {
 			r *= ps.ratio
 			acc *= 1 - ps.dropP
 		}
-		a.delivered = r
 		a.lossP = 1 - acc
 		a.offeredBytes += units.ByteSize(d * e.dt / 8)
 		a.deliveredBytes += units.ByteSize(r * e.dt / 8)
@@ -397,13 +387,6 @@ func (e *Engine) tick() {
 		ps.q.Delivered += through
 		ps.q.Dropped += drop
 		ps.q.Bytes = rem
-		// Port-level observers (content caches, metering middleboxes)
-		// see the settled deposit here — fluid bytes never traverse the
-		// packet interception path. Nil-gated: tap-free runs execute
-		// identical instructions.
-		if t := ps.q.Tap; t != nil {
-			t(through, drop)
-		}
 		if avail > 0 {
 			ps.ratio = float64(through) / float64(avail)
 			ps.dropP = alpha*float64(drop)/float64(avail) + (1-alpha)*ps.dropP

@@ -87,16 +87,8 @@ func (s *IDS) Watch(p *netsim.Port) {
 	})
 }
 
-func canonical(k netsim.FlowKey) netsim.FlowKey {
-	r := k.Reverse()
-	if r.Src < k.Src || (r.Src == k.Src && r.SrcPort < k.SrcPort) {
-		return r
-	}
-	return k
-}
-
 func (s *IDS) observe(pkt *netsim.Packet, now sim.Time) {
-	key := canonical(pkt.Flow)
+	key := pkt.Flow.Canonical()
 	rec, ok := s.flows[key]
 	if !ok {
 		rec = &FlowRecord{Key: key, First: now}
@@ -135,12 +127,12 @@ func (s *IDS) observe(pkt *netsim.Packet, now sim.Time) {
 
 // Flow returns the record for a flow (either direction), or nil.
 func (s *IDS) Flow(k netsim.FlowKey) *FlowRecord {
-	return s.flows[canonical(k)]
+	return s.flows[k.Canonical()]
 }
 
 // Verified reports whether the flow passed verification without alerts.
 func (s *IDS) Verified(k netsim.FlowKey) bool {
-	return s.verified[canonical(k)]
+	return s.verified[k.Canonical()]
 }
 
 // Flows returns all flow records, largest first — the "top talkers" view

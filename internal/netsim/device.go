@@ -96,7 +96,6 @@ type Device struct {
 	Config DeviceConfig
 
 	net         *Network
-	fib         map[string]*Port
 	filters     []Filter
 	forwarder   Forwarder
 	interceptor Interceptor
@@ -199,13 +198,6 @@ func (d *Device) Absorb(pkt *Packet) {
 	d.ctx.pool.put(pkt)
 }
 
-// SetRoute implements Router: it pins the egress port for a destination
-// host, overriding computed routes.
-func (d *Device) SetRoute(dst string, out *Port) { d.fib[dst] = out }
-
-// RouteTo implements Router.
-func (d *Device) RouteTo(dst string) *Port { return d.fib[dst] }
-
 // ResetMode returns a degraded cut-through device to cut-through mode —
 // modelling the vendor fix in §6.1. Packets already in the degraded
 // engine drain normally.
@@ -249,12 +241,11 @@ func (d *Device) forward(pkt *Packet) {
 		}
 	}
 	if out == nil {
-		p, ok := d.fib[pkt.Flow.Dst]
-		if !ok {
+		out = d.RouteTo(pkt.Flow.Dst)
+		if out == nil {
 			d.net.countDrop(d.ctx, pkt, DropNoRoute, d.Name(), pkt.Flow.Dst)
 			return
 		}
-		out = p
 	}
 	d.Forwarded++
 	if bus := d.ctx.tracebus(d.net); bus.Enabled() {

@@ -62,18 +62,6 @@ type FluidQueue struct {
 	Offered   units.ByteSize //dmzvet:ledger fluidq
 	Delivered units.ByteSize //dmzvet:ledger fluidq
 	Dropped   units.ByteSize //dmzvet:ledger fluidq
-
-	// Tap, when non-nil, observes every fluid settle on this port: the
-	// bytes the aggregate moved downstream and the bytes it shed, as of
-	// the tick that just completed. Fluid deposits never traverse the
-	// per-packet interception path (there are no packets), so port-level
-	// services — content caches sizing their budgets against background
-	// load, future middleboxes metering aggregate throughput — would
-	// otherwise be blind to them. The engine invokes the tap after the
-	// ledger fields above are updated, from the control tick (all shards
-	// quiesced), and the call is nil-gated: fluid-free and tap-free runs
-	// execute identical instructions on the settle path.
-	Tap func(delivered, dropped units.ByteSize)
 }
 
 // Balanced reports whether the port's fluid byte column closes.
@@ -133,24 +121,4 @@ func (p *Port) auditFluid() []error {
 		errs = append(errs, fmt.Errorf("%s: fluid share %v outside [0, %v]", name, f.Share, maxFluidShare))
 	}
 	return errs
-}
-
-// FluidLedger sums the per-port fluid byte columns: bytes offered to,
-// delivered by, dropped at, and currently queued on every port a fluid
-// aggregate traverses. Zero everywhere when no fluid engine is
-// attached. Note offered/delivered count each byte once per traversed
-// port (hop-bytes), mirroring how the packet ledger's port counters
-// work.
-func (n *Network) FluidLedger() (offered, delivered, dropped, queued units.ByteSize) {
-	for _, name := range n.NodeNames() {
-		for _, p := range n.nodes[name].Ports() {
-			if f := p.fluid; f != nil {
-				offered += f.Offered
-				delivered += f.Delivered
-				dropped += f.Dropped
-				queued += f.Bytes
-			}
-		}
-	}
-	return
 }

@@ -29,7 +29,6 @@ type Host struct {
 
 	net      *Network
 	handlers map[protoPort]Handler
-	fib      map[string]*Port // destination host -> egress port
 	nextPort uint16
 
 	// Packet IDs: the host stamps them from its own counter in the
@@ -93,8 +92,8 @@ func (h *Host) Send(pkt *Packet) {
 	pkt.ID = h.idBase | h.idSeq
 	pkt.SentAt = h.ctx.sched.Now()
 	h.ctx.ledger.injected++
-	out, ok := h.fib[pkt.Flow.Dst]
-	if !ok {
+	out := h.RouteTo(pkt.Flow.Dst)
+	if out == nil {
 		h.net.countDrop(h.ctx, pkt, DropNoLocalRoute, h.Name(), pkt.Flow.Dst)
 		return
 	}
@@ -144,12 +143,6 @@ func (h *Host) BoundPorts() []PortBinding {
 	})
 	return out
 }
-
-// SetRoute implements Router.
-func (h *Host) SetRoute(dst string, out *Port) { h.fib[dst] = out }
-
-// RouteTo implements Router.
-func (h *Host) RouteTo(dst string) *Port { return h.fib[dst] }
 
 // NICRate returns the line rate of the host's first interface, or zero if
 // the host is unconnected.

@@ -1,9 +1,6 @@
 package netsim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // PacketHolder is implemented by custom nodes that buffer packets for
 // later forwarding (firewalls, inspection engines). The conservation
@@ -122,13 +119,7 @@ func (n *Network) AuditInvariants() []error {
 		errs = append(errs, fmt.Errorf("packet conservation violated: %v", c))
 	}
 
-	names := make([]string, 0, len(n.nodes))
-	for name := range n.nodes {
-		names = append(names, name)
-	}
-	// Deterministic report order regardless of map iteration.
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range n.NodeNames() {
 		node := n.nodes[name]
 		for _, p := range node.Ports() {
 			errs = append(errs, p.auditQueues()...)

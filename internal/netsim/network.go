@@ -155,12 +155,7 @@ func (n *Network) TelemetrySampler() *telemetry.Sampler { return n.sampler }
 // registry snapshots. It runs at snapshot time only, so instrumenting
 // a network adds zero cost to the packet hot path.
 func (n *Network) collectMetrics(emit telemetry.EmitFunc) {
-	names := make([]string, 0, len(n.nodes))
-	for name := range n.nodes {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range n.NodeNames() {
 		node := n.nodes[name]
 		for _, p := range node.Ports() {
 			l := telemetry.Labels{"node": name, "port": strconv.Itoa(p.Index)}
@@ -223,7 +218,6 @@ func (n *Network) NewHost(name string) *Host {
 		net:      n,
 		idBase:   n.idBase(),
 		handlers: make(map[protoPort]Handler),
-		fib:      make(map[string]*Port),
 	}
 	n.register(name, h)
 	n.hostSet[name] = h
@@ -240,7 +234,6 @@ func (n *Network) NewDevice(name string, cfg DeviceConfig) *Device {
 		Config:   cfg,
 		net:      n,
 		idBase:   n.idBase(),
-		fib:      make(map[string]*Port),
 	}
 	n.register(name, d)
 	return d
@@ -458,44 +451,39 @@ func (n *Network) ComputeRoutes() {
 			}
 		}
 		for nodeName, port := range towards {
-			if r, ok := n.nodes[nodeName].(Router); ok {
-				r.SetRoute(dstName, port)
-			}
+			n.nodes[nodeName].SetRoute(dstName, port)
 		}
 	}
 }
 
-// Router is implemented by nodes that keep a destination routing table.
-// Host and Device implement it; custom middleboxes (e.g., firewalls)
-// implement it to participate in ComputeRoutes and Path.
-type Router interface {
-	SetRoute(dst string, out *Port)
-	RouteTo(dst string) *Port
+// walk follows the installed routing tables from src toward dst,
+// calling hop with each egress port in order. It reports whether dst
+// was reached; it is false when an endpoint is unknown, a node on the
+// way has no route, or the route needs more than MaxHops hops (a
+// loop). hop may already have run for a walk that then fails.
+func (n *Network) walk(src, dst string, hop func(out *Port)) bool {
+	cur := n.nodes[src]
+	if cur == nil || n.nodes[dst] == nil {
+		return false
+	}
+	for hops := 0; cur.Name() != dst; hops++ {
+		out := cur.RouteTo(dst)
+		if out == nil || hops == MaxHops {
+			return false
+		}
+		hop(out)
+		cur = out.Peer().Owner
+	}
+	return true
 }
 
 // Path returns the node names a packet from src to dst traverses,
 // inclusive of both endpoints, following the installed routing tables.
 // It returns nil if no route exists or a loop is detected.
 func (n *Network) Path(src, dst string) []string {
-	cur := n.nodes[src]
-	if cur == nil || n.nodes[dst] == nil {
-		return nil
-	}
 	path := []string{src}
-	for cur.Name() != dst {
-		if len(path) > MaxHops {
-			return nil
-		}
-		r, ok := cur.(Router)
-		if !ok {
-			return nil
-		}
-		out := r.RouteTo(dst)
-		if out == nil {
-			return nil
-		}
-		cur = out.Peer().Owner
-		path = append(path, cur.Name())
+	if !n.walk(src, dst, func(out *Port) { path = append(path, out.Peer().Owner.Name()) }) {
+		return nil
 	}
 	return path
 }
@@ -503,25 +491,9 @@ func (n *Network) Path(src, dst string) []string {
 // PathInfo returns the links along the routed path from src to dst, in
 // order, or nil when no path exists.
 func (n *Network) PathInfo(src, dst string) []*Link {
-	if n.nodes[src] == nil || n.nodes[dst] == nil {
-		return nil
-	}
 	var links []*Link
-	cur := n.nodes[src]
-	for cur.Name() != dst {
-		if len(links) > MaxHops {
-			return nil
-		}
-		r, ok := cur.(Router)
-		if !ok {
-			return nil
-		}
-		out := r.RouteTo(dst)
-		if out == nil {
-			return nil
-		}
-		links = append(links, out.Link)
-		cur = out.Peer().Owner
+	if !n.walk(src, dst, func(out *Port) { links = append(links, out.Link) }) {
+		return nil
 	}
 	return links
 }
@@ -529,26 +501,24 @@ func (n *Network) PathInfo(src, dst string) []*Link {
 // PathBottleneck returns the lowest link rate on the routed path, or 0
 // when no path exists.
 func (n *Network) PathBottleneck(src, dst string) units.BitRate {
-	links := n.PathInfo(src, dst)
-	if links == nil {
-		return 0
-	}
 	var min units.BitRate
-	for _, l := range links {
-		if min == 0 || l.Rate < min {
-			min = l.Rate
+	if !n.walk(src, dst, func(out *Port) {
+		if min == 0 || out.Link.Rate < min {
+			min = out.Link.Rate
 		}
+	}) {
+		return 0
 	}
 	return min
 }
 
 // PathRTT returns twice the summed propagation delay of the routed path —
-// the base round-trip time, excluding serialization and queueing.
+// the base round-trip time, excluding serialization and queueing — or 0
+// when no path exists.
 func (n *Network) PathRTT(src, dst string) time.Duration {
-	links := n.PathInfo(src, dst)
 	var sum time.Duration
-	for _, l := range links {
-		sum += l.Delay
+	if !n.walk(src, dst, func(out *Port) { sum += out.Link.Delay }) {
+		return 0
 	}
 	return 2 * sum
 }
@@ -556,25 +526,13 @@ func (n *Network) PathRTT(src, dst string) time.Duration {
 // PathMTU returns the smallest MTU along the routed path between two
 // hosts, or zero when no path exists.
 func (n *Network) PathMTU(src, dst string) int {
-	names := n.Path(src, dst)
-	if names == nil {
-		return 0
-	}
 	mtu := 0
-	cur := n.nodes[src]
-	for cur.Name() != dst {
-		r, ok := cur.(Router)
-		if !ok {
-			return 0
-		}
-		out := r.RouteTo(dst)
-		if out == nil {
-			return 0
-		}
+	if !n.walk(src, dst, func(out *Port) {
 		if mtu == 0 || out.Link.MTU < mtu {
 			mtu = out.Link.MTU
 		}
-		cur = out.Peer().Owner
+	}) {
+		return 0
 	}
 	return mtu
 }

@@ -515,17 +515,6 @@ func TestTapSeesTraffic(t *testing.T) {
 	}
 }
 
-func TestBusyTimeAccounting(t *testing.T) {
-	n, a, _, _ := twoHosts(t, LinkConfig{Rate: units.Gbps})
-	for i := 0; i < 5; i++ {
-		a.Send(pkt("a", "b", 1500))
-	}
-	n.Run()
-	if got := a.Ports()[0].BusyTime(); got != 60*time.Microsecond {
-		t.Errorf("busy = %v, want 60us", got)
-	}
-}
-
 // TestSetDownSparesPacketsOnTheWire pins what a hard link failure
 // destroys: a packet already propagating when the link goes down still
 // arrives, and the next packet to finish serializing onto the down link

@@ -3,8 +3,8 @@ package netsim
 import "repro/internal/sim"
 
 // Node is anything that terminates links: hosts, routers, switches,
-// firewalls. Concrete nodes embed NodeBase for bookkeeping and implement
-// Receive.
+// firewalls. Concrete nodes embed NodeBase for bookkeeping and the
+// routing table, and implement Receive.
 type Node interface {
 	// Name returns the unique node name within its Network.
 	Name() string
@@ -12,19 +12,26 @@ type Node interface {
 	Ports() []*Port
 	// Receive handles a packet arriving on one of the node's ports.
 	Receive(pkt *Packet, in *Port)
+	// SetRoute pins the egress port toward a destination host.
+	SetRoute(dst string, out *Port)
+	// RouteTo returns the egress port toward a destination host, or nil
+	// when the node has no route to it.
+	RouteTo(dst string) *Port
 
 	attach(p *Port)
 	shard() *shardCtx
 	setShard(c *shardCtx)
 }
 
-// NodeBase provides the name/port bookkeeping shared by all node types.
-// Custom nodes outside this package (e.g., internal/firewall) embed it,
-// call Init, and register themselves with Network.Register.
+// NodeBase provides the name/port bookkeeping and the routing table
+// shared by all node types. Custom nodes outside this package (e.g.,
+// internal/firewall) embed it, call Init, and register themselves with
+// Network.Register.
 type NodeBase struct {
 	name  string
 	ports []*Port
-	ctx   *shardCtx // execution domain; set at registration
+	fib   map[string]*Port // destination host -> egress port
+	ctx   *shardCtx        // execution domain; set at registration
 }
 
 // Init sets the node name; custom nodes call it before Network.Register.
@@ -35,6 +42,18 @@ func (n *NodeBase) Name() string { return n.name }
 
 // Ports implements Node.
 func (n *NodeBase) Ports() []*Port { return n.ports }
+
+// SetRoute implements Node. ComputeRoutes fills the table; a call after
+// it overrides the computed route for that destination.
+func (n *NodeBase) SetRoute(dst string, out *Port) {
+	if n.fib == nil {
+		n.fib = make(map[string]*Port)
+	}
+	n.fib[dst] = out
+}
+
+// RouteTo implements Node.
+func (n *NodeBase) RouteTo(dst string) *Port { return n.fib[dst] }
 
 // EventScheduler returns the scheduler the node's events execute on: its
 // shard scheduler once the engine installs, the control scheduler

@@ -112,6 +112,17 @@ func (k FlowKey) Reverse() FlowKey {
 	}
 }
 
+// Canonical returns the direction-independent form of the key: whichever
+// of k and k.Reverse() has the smaller (Src, SrcPort). Both directions of
+// a flow map to it, so stateful middleboxes key one session per flow.
+func (k FlowKey) Canonical() FlowKey {
+	r := k.Reverse()
+	if r.Src < k.Src || (r.Src == k.Src && r.SrcPort < k.SrcPort) {
+		return r
+	}
+	return k
+}
+
 func (k FlowKey) String() string {
 	return fmt.Sprintf("%s %s:%d>%s:%d", k.Proto, k.Src, k.SrcPort, k.Dst, k.DstPort)
 }

@@ -49,6 +49,36 @@ func TestFlowKeyReverseInvolution(t *testing.T) {
 	}
 }
 
+// TestFlowKeyCanonical pins the session key firewalls and IDSes share:
+// both directions of a flow have one canonical key, canonicalizing twice
+// changes nothing, and the result is one of the two directions.
+func TestFlowKeyCanonical(t *testing.T) {
+	f := func(src, dst string, sp, dp uint16, proto bool) bool {
+		p := ProtoTCP
+		if proto {
+			p = ProtoUDP
+		}
+		k := FlowKey{Src: src, Dst: dst, SrcPort: sp, DstPort: dp, Proto: p}
+		c := k.Canonical()
+		return c == k.Reverse().Canonical() && c.Canonical() == c && (c == k || c == k.Reverse())
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+	for _, k := range []FlowKey{
+		{Src: "a", Dst: "a", SrcPort: 7, DstPort: 7},
+		{Src: "a", Dst: "a", SrcPort: 9, DstPort: 7},
+		{Src: "server", Dst: "client", SrcPort: 5001, DstPort: 50000, Proto: ProtoTCP},
+	} {
+		if c := k.Canonical(); c != k.Reverse().Canonical() || c.Canonical() != c {
+			t.Errorf("Canonical(%v) = %v, of the reverse %v", k, c, k.Reverse().Canonical())
+		}
+	}
+	if got := (FlowKey{Src: "server", Dst: "client", SrcPort: 5001, DstPort: 50000}).Canonical(); got.Src != "client" {
+		t.Errorf("Canonical picks %v, want the direction whose source sorts first", got)
+	}
+}
+
 func TestProtoString(t *testing.T) {
 	if ProtoTCP.String() != "tcp" || ProtoUDP.String() != "udp" {
 		t.Error("proto strings wrong")

@@ -62,7 +62,6 @@ type Port struct {
 	queueBytes   units.ByteSize
 	prioBytes    units.ByteSize
 	transmitting bool
-	busy         time.Duration // cumulative serialization time
 	taps         []TapFunc
 
 	// capFloor grandfathers queue occupancy that exceeds a capacity
@@ -123,10 +122,6 @@ func (p *Port) QueueLen() int { return p.queue.Len() + p.prioQueue.Len() }
 
 // QueueBytes returns the bytes waiting in both egress lanes.
 func (p *Port) QueueBytes() units.ByteSize { return p.queueBytes + p.prioBytes }
-
-// BusyTime returns cumulative transmission time, from which utilization
-// over an interval can be derived.
-func (p *Port) BusyTime() time.Duration { return p.busy }
 
 // Send transmits the packet out this port, queueing it if the port is
 // busy and dropping it if the egress buffer is full.
@@ -221,7 +216,6 @@ func (p *Port) startTx(pkt *Packet) {
 		}
 		d = time.Duration(float64(d) / (1 - share))
 	}
-	p.busy += d
 	p.ctx.sched.AfterCall(tagPort, d, finishTxCall, p, pkt)
 }
 

@@ -114,9 +114,6 @@ func (n *Network) engineShards() []*shardCtx {
 // planner cuts only marked links when any are marked.
 func (l *Link) MarkCut() { l.cutHint = true }
 
-// CutHint reports whether MarkCut was called.
-func (l *Link) CutHint() bool { return l.cutHint }
-
 // MarkNoCut vetoes cutting this link regardless of hints. Fault
 // injection calls it for its target links: an injected loss model may be
 // stateful (bursty or periodic), and a stateful model shared by a cut

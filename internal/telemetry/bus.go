@@ -7,7 +7,7 @@ import (
 )
 
 // Bus fans typed trace events out to subscribers (JSONL exporters,
-// flight recorders, per-test assertions).
+// per-test assertions).
 //
 // A nil *Bus is a valid disabled bus: every method is nil-receiver-
 // safe. Emitting components keep a *Bus field that is nil when tracing

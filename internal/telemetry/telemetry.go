@@ -1,6 +1,6 @@
 // Package telemetry is the simulator's unified measurement plane: a
-// metrics registry, a typed trace-event bus, and a bounded flight
-// recorder, all clocked on simulation time.
+// metrics registry, a typed trace-event bus, and a registry sampler,
+// all clocked on simulation time.
 //
 // The paper's operational argument (§3.3) is that a Science DMZ works
 // only when it is observable: soft failures are invisible without

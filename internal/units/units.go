@@ -90,12 +90,6 @@ func Rate(n ByteSize, d time.Duration) BitRate {
 	return BitRate(float64(n) * 8 / d.Seconds())
 }
 
-// TimeToSend returns the time to move n bytes at rate r; an alias of
-// Serialize that reads better when talking about whole transfers.
-func TimeToSend(n ByteSize, r BitRate) time.Duration {
-	return r.Serialize(n)
-}
-
 // BandwidthDelayProduct returns the number of bytes in flight on a path of
 // the given rate and round-trip time — the window TCP needs to fill the
 // pipe (the paper's Equation 2).
