@@ -18,6 +18,7 @@ import (
 
 	"repro/internal/dtn"
 	"repro/internal/experiments"
+	"repro/internal/harness"
 	"repro/internal/netsim"
 	"repro/internal/tcp"
 	"repro/internal/telemetry"
@@ -25,10 +26,22 @@ import (
 	"repro/internal/units"
 )
 
+// runCtx returns a run context whose networks are audited when the
+// benchmark ends.
+func runCtx(b *testing.B) *harness.Ctx {
+	ctx := &harness.Ctx{}
+	b.Cleanup(func() {
+		if err := ctx.Audit(); err != nil {
+			b.Error(err)
+		}
+	})
+	return ctx
+}
+
 func BenchmarkFig1ThroughputVsRTT(b *testing.B) {
 	var res *experiments.Fig1Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Fig1(experiments.Fig1Config{
+		res = experiments.Fig1(runCtx(b), experiments.Fig1Config{
 			RTTs:     []time.Duration{5 * time.Millisecond, 20 * time.Millisecond, 80 * time.Millisecond},
 			Duration: 6 * time.Second,
 		})
@@ -43,7 +56,7 @@ func BenchmarkFig1ThroughputVsRTT(b *testing.B) {
 func BenchmarkFig2Dashboard(b *testing.B) {
 	var res *experiments.Fig2Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Fig2()
+		res = experiments.Fig2(runCtx(b))
 	}
 	b.ReportMetric(float64(len(res.Alerts)), "alerts")
 }
@@ -51,7 +64,7 @@ func BenchmarkFig2Dashboard(b *testing.B) {
 func BenchmarkFig3SimpleDMZ(b *testing.B) {
 	var res *experiments.Fig3Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Fig3()
+		res = experiments.Fig3(runCtx(b))
 	}
 	b.ReportMetric(float64(res.CampusRate)/1e6, "campus-Mbps")
 	b.ReportMetric(float64(res.DMZRate)/1e9, "dmz-Gbps")
@@ -61,7 +74,7 @@ func BenchmarkFig3SimpleDMZ(b *testing.B) {
 func BenchmarkFig4Supercomputer(b *testing.B) {
 	var res *experiments.Fig4Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Fig4()
+		res = experiments.Fig4(runCtx(b))
 	}
 	b.ReportMetric(float64(res.DTNRate)/1e9, "dtn-Gbps")
 	b.ReportMetric(float64(res.LoginRate)/1e6, "login-Mbps")
@@ -70,7 +83,7 @@ func BenchmarkFig4Supercomputer(b *testing.B) {
 func BenchmarkFig5BigData(b *testing.B) {
 	var res *experiments.Fig5Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Fig5()
+		res = experiments.Fig5(runCtx(b))
 	}
 	b.ReportMetric(res.AggregateGbps, "aggregate-Gbps")
 }
@@ -78,7 +91,7 @@ func BenchmarkFig5BigData(b *testing.B) {
 func BenchmarkFig67ColoradoFanIn(b *testing.B) {
 	var res *experiments.Fig67Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Fig67()
+		res = experiments.Fig67(runCtx(b))
 	}
 	b.ReportMetric(float64(res.BrokenPerHost)/1e6, "faulty-Mbps")
 	b.ReportMetric(float64(res.FixedPerHost)/1e6, "fixed-Mbps")
@@ -87,7 +100,7 @@ func BenchmarkFig67ColoradoFanIn(b *testing.B) {
 func BenchmarkFig8PennState(b *testing.B) {
 	var res *experiments.Fig8Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Fig8()
+		res = experiments.Fig8(runCtx(b))
 	}
 	b.ReportMetric(float64(res.BrokenIn)/1e6, "seqcheck-Mbps")
 	b.ReportMetric(res.InFactor(), "inbound-fix-x")
@@ -97,7 +110,7 @@ func BenchmarkFig8PennState(b *testing.B) {
 func BenchmarkLineCard(b *testing.B) {
 	var res *experiments.LineCardResult
 	for i := 0; i < b.N; i++ {
-		res = experiments.LineCard()
+		res = experiments.LineCard(runCtx(b))
 	}
 	b.ReportMetric(res.OwampLoss*100, "owamp-loss-pct")
 	b.ReportMetric(float64(res.CleanTCP)/1e9, "clean-Gbps")
@@ -107,7 +120,7 @@ func BenchmarkLineCard(b *testing.B) {
 func BenchmarkNOAA(b *testing.B) {
 	var res *experiments.NOAAResult
 	for i := 0; i < b.N; i++ {
-		res = experiments.NOAA()
+		res = experiments.NOAA(runCtx(b))
 	}
 	b.ReportMetric(float64(res.FTPRate)/8e6, "ftp-MBps")
 	b.ReportMetric(float64(res.DTNRate)/8e6, "dtn-MBps")
@@ -118,7 +131,7 @@ func BenchmarkNOAA(b *testing.B) {
 func BenchmarkNERSC(b *testing.B) {
 	var res *experiments.NERSCResult
 	for i := 0; i < b.N; i++ {
-		res = experiments.NERSC()
+		res = experiments.NERSC(runCtx(b))
 	}
 	b.ReportMetric(float64(res.DTNRate)/8e6, "dtn-MBps")
 	b.ReportMetric(res.Legacy33GB.Hours(), "legacy-33GB-hours")
@@ -128,7 +141,7 @@ func BenchmarkNERSC(b *testing.B) {
 func BenchmarkRoCE(b *testing.B) {
 	var res *experiments.RoCEResult
 	for i := 0; i < b.N; i++ {
-		res = experiments.RoCE()
+		res = experiments.RoCE(runCtx(b))
 	}
 	b.ReportMetric(res.CircuitGbps, "circuit-Gbps")
 	b.ReportMetric(res.NoCircuitGbps, "nocircuit-Gbps")
@@ -138,7 +151,7 @@ func BenchmarkRoCE(b *testing.B) {
 func BenchmarkSDNBypass(b *testing.B) {
 	var res *experiments.SDNResult
 	for i := 0; i < b.N; i++ {
-		res = experiments.SDNBypass()
+		res = experiments.SDNBypass(runCtx(b))
 	}
 	b.ReportMetric(res.FirewalledGbps, "firewalled-Gbps")
 	b.ReportMetric(res.BypassGbps, "bypass-Gbps")
@@ -147,7 +160,7 @@ func BenchmarkSDNBypass(b *testing.B) {
 func BenchmarkAudit(b *testing.B) {
 	var res *experiments.AuditResult
 	for i := 0; i < b.N; i++ {
-		res = experiments.AuditDesigns()
+		res = experiments.AuditDesigns(runCtx(b))
 	}
 	b.ReportMetric(float64(res.Rows[0].Critical), "campus-criticals")
 	b.ReportMetric(float64(res.Rows[1].Critical), "retrofit-criticals")
@@ -305,8 +318,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	for _, workers := range []int{1, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg.Parallel = workers
-				res, err := experiments.RunSweep(cfg)
+				res, err := experiments.RunSweep(&harness.Ctx{Parallel: workers}, cfg)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -26,7 +26,7 @@ import (
 	"repro/internal/content"
 	"repro/internal/experiments"
 	"repro/internal/fault"
-	"repro/internal/netsim"
+	"repro/internal/harness"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/units"
@@ -34,10 +34,6 @@ import (
 
 // renderer is any experiment result.
 type renderer interface{ Render() string }
-
-// parallelWorkers is the -parallel flag value, read by experiments that
-// run on the sweep harness. Any value produces byte-identical output.
-var parallelWorkers int
 
 // cacheBudget / catalogPath are the -cache-budget / -catalog flag
 // values, read by the tier2 content-caching experiment.
@@ -65,25 +61,25 @@ func tier2Config() experiments.Tier2Config {
 	return cfg
 }
 
-var registry = map[string]func() renderer{
-	"tier2":    func() renderer { return experiments.Tier2(tier2Config()) },
-	"fig1":     func() renderer { return experiments.Fig1(experiments.Fig1Config{Parallel: parallelWorkers}) },
-	"fig2":     func() renderer { return experiments.Fig2() },
-	"fig3":     func() renderer { return experiments.Fig3() },
-	"fig4":     func() renderer { return experiments.Fig4() },
-	"fig5":     func() renderer { return experiments.Fig5() },
-	"fig67":    func() renderer { return experiments.Fig67() },
-	"fig8":     func() renderer { return experiments.Fig8() },
-	"linecard": func() renderer { return experiments.LineCard() },
-	"sawtooth": func() renderer {
-		return experiments.Sawtooth(20*time.Millisecond, 2*time.Second, 10*time.Second)
+var registry = map[string]func(*harness.Ctx) renderer{
+	"tier2":    func(ctx *harness.Ctx) renderer { return experiments.Tier2(ctx, tier2Config()) },
+	"fig1":     func(ctx *harness.Ctx) renderer { return experiments.Fig1(ctx, experiments.Fig1Config{}) },
+	"fig2":     func(ctx *harness.Ctx) renderer { return experiments.Fig2(ctx) },
+	"fig3":     func(ctx *harness.Ctx) renderer { return experiments.Fig3(ctx) },
+	"fig4":     func(ctx *harness.Ctx) renderer { return experiments.Fig4(ctx) },
+	"fig5":     func(ctx *harness.Ctx) renderer { return experiments.Fig5(ctx) },
+	"fig67":    func(ctx *harness.Ctx) renderer { return experiments.Fig67(ctx) },
+	"fig8":     func(ctx *harness.Ctx) renderer { return experiments.Fig8(ctx) },
+	"linecard": func(ctx *harness.Ctx) renderer { return experiments.LineCard(ctx) },
+	"sawtooth": func(ctx *harness.Ctx) renderer {
+		return experiments.Sawtooth(ctx, 20*time.Millisecond, 2*time.Second, 10*time.Second)
 	},
-	"noaa":      func() renderer { return experiments.NOAA() },
-	"nersc":     func() renderer { return experiments.NERSC() },
-	"roce":      func() renderer { return experiments.RoCE() },
-	"sdnbypass": func() renderer { return experiments.SDNBypass() },
-	"audit":     func() renderer { return experiments.AuditDesigns() },
-	"hybrid":    func() renderer { return experiments.Hybrid() },
+	"noaa":      func(ctx *harness.Ctx) renderer { return experiments.NOAA(ctx) },
+	"nersc":     func(ctx *harness.Ctx) renderer { return experiments.NERSC(ctx) },
+	"roce":      func(ctx *harness.Ctx) renderer { return experiments.RoCE(ctx) },
+	"sdnbypass": func(ctx *harness.Ctx) renderer { return experiments.SDNBypass(ctx) },
+	"audit":     func(ctx *harness.Ctx) renderer { return experiments.AuditDesigns(ctx) },
+	"hybrid":    func(ctx *harness.Ctx) renderer { return experiments.Hybrid(ctx) },
 }
 
 var descriptions = map[string]string{
@@ -115,16 +111,17 @@ func names() []string {
 }
 
 // setupTelemetry wires the --trace / --metrics / --serve / --trace-spans
-// flags: every network the selected experiments build attaches to one
-// shared telemetry instance. The returned finish func writes the
-// outputs after the run; wait blocks holding the -serve endpoint up
-// until interrupted (a no-op otherwise).
-func setupTelemetry(tracePath, metricsPath, serveAddr, spansPath string) (finish, wait func()) {
+// flags into one telemetry plane (nil when none is set), which the run
+// context attaches to every network the selected experiments build.
+// The returned finish func writes the outputs after the run; wait
+// blocks holding the -serve endpoint up until interrupted (a no-op
+// otherwise).
+func setupTelemetry(tracePath, metricsPath, serveAddr, spansPath string) (tele *telemetry.Telemetry, finish, wait func()) {
 	noop := func() {}
 	if tracePath == "" && metricsPath == "" && serveAddr == "" && spansPath == "" {
-		return noop, noop
+		return nil, noop, noop
 	}
-	tele := telemetry.New()
+	tele = telemetry.New()
 	var traceFile *os.File
 	var traceWriter *telemetry.JSONLWriter
 	if tracePath != "" {
@@ -163,7 +160,6 @@ func setupTelemetry(tracePath, metricsPath, serveAddr, spansPath string) (finish
 		})
 	}
 
-	netsim.DefaultTelemetry = tele
 	finish = func() {
 		if traceWriter != nil {
 			if err := traceWriter.Flush(); err != nil {
@@ -213,7 +209,7 @@ func setupTelemetry(tracePath, metricsPath, serveAddr, spansPath string) (finish
 			select {}
 		}
 	}
-	return finish, wait
+	return tele, finish, wait
 }
 
 // parseSweep parses a -sweep spec of the form axis=min..max[:points],
@@ -265,7 +261,7 @@ func parseAxisValue(s string) (float64, error) {
 // runFaults handles -faults: a single scenario run, or — when
 // -fault-periods is set — a detection campaign sweeping BWCTL test
 // cadence (and optionally -fault-severities) on the parallel harness.
-func runFaults(path, periods, severities string) error {
+func runFaults(ctx *harness.Ctx, path, periods, severities string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -278,14 +274,14 @@ func runFaults(path, periods, severities string) error {
 		if severities != "" {
 			return fmt.Errorf("-fault-severities requires -fault-periods (a campaign)")
 		}
-		rep, err := fault.Run(sc)
+		rep, err := fault.Run(ctx, sc)
 		if err != nil {
 			return err
 		}
 		fmt.Println(rep.Render())
-		return nil
+		return ctx.Audit()
 	}
-	cfg := fault.CampaignConfig{Base: sc, Parallel: parallelWorkers}
+	cfg := fault.CampaignConfig{Base: sc}
 	for _, p := range strings.Split(periods, ",") {
 		d, err := time.ParseDuration(strings.TrimSpace(p))
 		if err != nil {
@@ -302,7 +298,7 @@ func runFaults(path, periods, severities string) error {
 			cfg.Severities = append(cfg.Severities, v)
 		}
 	}
-	res, err := fault.RunCampaign(cfg)
+	res, err := fault.RunCampaign(ctx, cfg)
 	if err != nil {
 		return err
 	}
@@ -324,18 +320,31 @@ func main() {
 	faults := flag.String("faults", "", "run a fault-injection scenario from this JSON file")
 	faultPeriods := flag.String("fault-periods", "", "with -faults: comma-separated BWCTL test periods (e.g. 15s,30s,60s) to sweep as a detection campaign")
 	faultSevs := flag.String("fault-severities", "", "with -fault-periods: comma-separated loss severities for the campaign's second axis")
-	flag.IntVar(&parallelWorkers, "parallel", 0, "sweep worker count (0 = GOMAXPROCS); results are identical at any value")
+	parallel := flag.Int("parallel", 0, "sweep worker count (0 = GOMAXPROCS); results are identical at any value")
 	flag.Int64Var(&cacheBudget, "cache-budget", 0, "with -run tier2: absolute content-cache byte budget (0 = 10% of catalog bytes)")
 	flag.StringVar(&catalogPath, "catalog", "", "with -run tier2: dataset catalog file, one 'name bytes chunk-bytes' per line (default: synthetic 240 x 1 MB)")
-	flag.IntVar(&netsim.DefaultShards, "shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
+	shards := flag.Int("shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
 	flag.Parse()
 
 	finishProfiling := setupProfiling(*cpuprofile, *memprofile, *pprofAddr)
-	finish, wait := setupTelemetry(*tracePath, *metrics, *serve, *traceSpans)
+	tele, finish, wait := setupTelemetry(*tracePath, *metrics, *serve, *traceSpans)
+	// newCtx is one run's context: one per experiment, audited when it
+	// returns, so -run all never holds every experiment's networks.
+	newCtx := func() *harness.Ctx {
+		return &harness.Ctx{Shards: *shards, Parallel: *parallel, Telemetry: tele}
+	}
+	runExperiment := func(name string) {
+		ctx := newCtx()
+		fmt.Println(registry[name](ctx).Render())
+		if err := ctx.Audit(); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: invariant violated: %v\n", name, err)
+			os.Exit(1)
+		}
+	}
 
 	switch {
 	case *faults != "":
-		if err := runFaults(*faults, *faultPeriods, *faultSevs); err != nil {
+		if err := runFaults(newCtx(), *faults, *faultPeriods, *faultSevs); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -348,8 +357,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		cfg.Parallel = parallelWorkers
-		res, err := experiments.RunSweep(cfg)
+		res, err := experiments.RunSweep(newCtx(), cfg)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -362,15 +370,14 @@ func main() {
 	case *run == "all":
 		for _, name := range names() {
 			fmt.Printf("=== %s ===\n", name)
-			fmt.Println(registry[name]().Render())
+			runExperiment(name)
 		}
 	case *run != "":
-		fn, ok := registry[*run]
-		if !ok {
+		if _, ok := registry[*run]; !ok {
 			fmt.Fprintf(os.Stderr, "unknown experiment %q; try -list\n", *run)
 			os.Exit(2)
 		}
-		fmt.Println(fn().Render())
+		runExperiment(*run)
 	default:
 		flag.Usage()
 		os.Exit(2)

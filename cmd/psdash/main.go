@@ -15,7 +15,7 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/fault"
-	"repro/internal/netsim"
+	"repro/internal/harness"
 	"repro/internal/perfsonar"
 	"repro/internal/telemetry"
 	"repro/internal/units"
@@ -24,7 +24,7 @@ import (
 // runFaults executes a scenario file and renders the operator's view:
 // the dashboard grid built from the scenario's own measurement archive,
 // then the closed loop's verdict table.
-func runFaults(path string) error {
+func runFaults(ctx *harness.Ctx, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -33,7 +33,7 @@ func runFaults(path string) error {
 	if err != nil {
 		return err
 	}
-	rep, err := fault.Run(sc)
+	rep, err := fault.Run(ctx, sc)
 	if err != nil {
 		return err
 	}
@@ -72,11 +72,11 @@ func main() {
 		return
 	}
 
-	var tele *telemetry.Telemetry
+	ctx := &harness.Ctx{}
 	var traceFile *os.File
 	var traceWriter *telemetry.JSONLWriter
 	if *trace != "" || *metrics != "" {
-		tele = telemetry.New()
+		tele := telemetry.New()
 		if *trace != "" {
 			f, err := os.Create(*trace)
 			if err != nil {
@@ -90,20 +90,24 @@ func main() {
 		if *metrics != "" {
 			tele.SampleInterval = time.Second
 		}
-		netsim.DefaultTelemetry = tele
+		ctx.Telemetry = tele
 	}
 
 	if *faults != "" {
-		if err := runFaults(*faults); err != nil {
+		if err := runFaults(ctx, *faults); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	} else {
-		r := experiments.Fig2()
+		r := experiments.Fig2(ctx)
 		fmt.Println(r.Render())
 		for _, a := range r.Alerts {
 			fmt.Println(" ", a)
 		}
+	}
+	if err := ctx.Audit(); err != nil {
+		fmt.Fprintln(os.Stderr, "invariant violated:", err)
+		os.Exit(1)
 	}
 
 	if traceWriter != nil {
@@ -119,7 +123,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		if err := tele.WriteMetricsJSON(f); err != nil {
+		if err := ctx.Telemetry.WriteMetricsJSON(f); err != nil {
 			fmt.Fprintln(os.Stderr, "metrics:", err)
 		}
 	}

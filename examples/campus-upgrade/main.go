@@ -19,11 +19,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/flowgen"
 	"repro/internal/fluid"
-	"repro/internal/netsim"
+	"repro/internal/harness"
 	"repro/internal/perfsonar"
 	"repro/internal/tcp"
 	"repro/internal/topo"
@@ -73,9 +74,10 @@ func measure(c *topo.Colorado, bgFlows int) (perHost units.BitRate, alerts int, 
 }
 
 func main() {
-	flag.IntVar(&netsim.DefaultShards, "shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
+	shards := flag.Int("shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
 	bgFlows := flag.Int("background-flows", 0, "enterprise background mice over the run, advanced by the hybrid fluid engine (0 = none; try 100000)")
 	flag.Parse()
+	ctx := &harness.Ctx{Shards: *shards}
 
 	cfg := topo.ColoradoConfig{}
 	if *bgFlows > 0 {
@@ -84,6 +86,7 @@ func main() {
 
 	fmt.Println("== before: cut-through switch with inadequate SF buffers ==")
 	before := topo.NewColorado(1, cfg)
+	ctx.Adopt("before", before.Net)
 	rate, alerts, _ := measure(before, *bgFlows)
 	fmt.Printf("per-host throughput: %v across %d hosts\n", rate, len(before.Physics))
 	fmt.Printf("switch degraded to store-and-forward: %v\n", before.PhysicsAgg.Degraded)
@@ -94,6 +97,7 @@ func main() {
 	fixed := cfg
 	fixed.FixedSwitch = true
 	after := topo.NewColorado(1, fixed)
+	ctx.Adopt("after", after.Net)
 	rate2, alerts2, aggs := measure(after, *bgFlows)
 	fmt.Printf("per-host throughput: %v of the 1G host NICs\n", rate2)
 	fmt.Printf("switch degraded: %v; perfSONAR alerts: %d\n", after.PhysicsAgg.Degraded, alerts2)
@@ -114,5 +118,9 @@ func main() {
 		} else {
 			fmt.Println("conservation audit: clean (packet + fluid byte columns balance)")
 		}
+	}
+	if err := ctx.Audit(); err != nil {
+		fmt.Fprintln(os.Stderr, "invariant violated:", err)
+		os.Exit(1)
 	}
 }

@@ -12,10 +12,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/circuit"
 	"repro/internal/flowgen"
+	"repro/internal/harness"
 	"repro/internal/netsim"
 	"repro/internal/rdma"
 	"repro/internal/topo"
@@ -23,10 +25,12 @@ import (
 )
 
 func main() {
-	flag.IntVar(&netsim.DefaultShards, "shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
+	shards := flag.Int("shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
 	flag.Parse()
+	ctx := &harness.Ctx{Shards: *shards}
 
 	b := topo.NewBigData(1, topo.BigDataConfig{})
+	ctx.Adopt("bigdata", b.Net)
 
 	// 1. LHC-style transfer mesh across the data plane.
 	var srcs, dsts []*netsim.Host
@@ -61,4 +65,8 @@ func main() {
 		res.CPUSeconds, res.TCPCPUSeconds, res.TCPCPUSeconds/res.CPUSeconds)
 	c.Release()
 	fmt.Println("circuit released")
+	if err := ctx.Audit(); err != nil {
+		fmt.Fprintln(os.Stderr, "invariant violated:", err)
+		os.Exit(1)
+	}
 }

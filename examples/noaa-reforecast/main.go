@@ -15,18 +15,20 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/dtn"
 	"repro/internal/flowgen"
-	"repro/internal/netsim"
+	"repro/internal/harness"
 	"repro/internal/topo"
 	"repro/internal/units"
 )
 
 func main() {
-	flag.IntVar(&netsim.DefaultShards, "shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
+	shards := flag.Int("shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
 	flag.Parse()
+	ctx := &harness.Ctx{Shards: *shards}
 
 	dataset := flowgen.NOAAReforecast()
 	fmt.Printf("dataset: %d files, %v total\n\n", len(dataset.Files), dataset.Total())
@@ -34,6 +36,7 @@ func main() {
 	// The before picture: an FTP server behind the NOAA firewall.
 	wan := topo.WANConfig{Rate: 10 * units.Gbps, Delay: 12500 * time.Microsecond, MTU: 1500}
 	campus := topo.NewCampus(1, topo.CampusConfig{WAN: wan})
+	ctx.Adopt("campus", campus.Net)
 
 	plan := dtn.PlanTransfer(campus.RemoteDTN, campus.ScienceHost, dataset.Total(), dtn.LegacyFTP{})
 	fmt.Printf("FTP plan: %v (%s-limited at %v) — the 'trickle'\n",
@@ -50,6 +53,7 @@ func main() {
 		WAN:     wan,
 		DTNDisk: dtn.Disk{ReadRate: 3200 * units.Mbps, WriteRate: 3200 * units.Mbps},
 	})
+	ctx.Adopt("dmz", dmz.Net)
 	plan2 := dtn.PlanTransfer(dmz.RemoteDTN, dmz.DTN, dataset.Total(), dtn.GridFTP{Streams: 4})
 	fmt.Printf("DTN plan: %v (%s-limited at %v)\n", round(plan2.Duration), plan2.Limit, plan2.Rate)
 
@@ -69,6 +73,10 @@ func main() {
 	fmt.Printf("full 170 TB repatriation: %.1f days\n", repatriation.Hours()/24)
 	fmt.Printf("speedup over FTP: %.0fx (paper: ~200x)\n",
 		float64(res.Throughput())/float64(ftp.Throughput()))
+	if err := ctx.Audit(); err != nil {
+		fmt.Fprintln(os.Stderr, "invariant violated:", err)
+		os.Exit(1)
+	}
 }
 
 func round(d time.Duration) time.Duration { return d.Round(time.Second) }

@@ -9,11 +9,12 @@ package main
 import (
 	"flag"
 	"fmt"
+	"os"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/dtn"
-	"repro/internal/netsim"
+	"repro/internal/harness"
 	"repro/internal/perfsonar"
 	"repro/internal/tcp"
 	"repro/internal/topo"
@@ -24,10 +25,12 @@ func main() {
 	// 1. Build the Figure 3 topology: border router, DMZ switch with a
 	//    DTN and a perfSONAR host, campus behind a firewall. The WAN is
 	//    10G at ~25ms RTT.
-	flag.IntVar(&netsim.DefaultShards, "shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
+	shards := flag.Int("shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
 	flag.Parse()
+	ctx := &harness.Ctx{Shards: *shards}
 
 	d := topo.NewSimpleDMZ(1, topo.SimpleDMZConfig{})
+	ctx.Adopt("dmz", d.Net)
 
 	// 2. Audit it: the deployment satisfies all four patterns.
 	dep := core.Deployment{
@@ -61,4 +64,8 @@ func main() {
 		fast.Size, fast.Duration().Round(time.Millisecond), fast.Throughput())
 
 	fmt.Printf("\nspeedup: %.0fx\n", float64(fast.Throughput())/float64(slow.Throughput()))
+	if err := ctx.Audit(); err != nil {
+		fmt.Fprintln(os.Stderr, "invariant violated:", err)
+		os.Exit(1)
+	}
 }

@@ -33,15 +33,16 @@ var scenarioJSON []byte
 func main() {
 	traceSpans := flag.Bool("trace-spans", false,
 		"run one instrumented scenario with a reference transfer during the fault and print its critical-path analysis")
-	flag.IntVar(&netsim.DefaultShards, "shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
+	shards := flag.Int("shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
 	flag.Parse()
+	ctx := &harness.Ctx{Shards: *shards}
 	sc, err := fault.ParseScenario(scenarioJSON)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	if *traceSpans {
-		runTraceSpans(sc)
+		runTraceSpans(ctx, sc)
 		return
 	}
 	f := sc.Faults[0]
@@ -52,7 +53,7 @@ func main() {
 	fmt.Println("purely a function of how often it tests:")
 	fmt.Println()
 
-	res, err := fault.RunCampaign(fault.CampaignConfig{
+	res, err := fault.RunCampaign(ctx, fault.CampaignConfig{
 		Base: sc,
 		Periods: []time.Duration{
 			120 * time.Second, 60 * time.Second, 30 * time.Second, 15 * time.Second,
@@ -111,12 +112,11 @@ const (
 // unless the analysis attributes at least 90% of the transfer's excess
 // duration to the injected fault's signature buckets (recovery and
 // cwnd-limited) — the span layer's own regression check.
-func runTraceSpans(sc *fault.Scenario) {
-	tele := telemetry.New()
+func runTraceSpans(ctx *harness.Ctx, sc *fault.Scenario) {
+	ctx.Telemetry = telemetry.New()
 	col := trace.NewCollector()
-	col.Attach(tele.Bus)
-	n := netsim.New(harness.Seed("fault", sc.Name, "net"))
-	n.AttachTelemetry(tele)
+	col.Attach(ctx.Telemetry.Bus)
+	n := ctx.Adopt("fault", netsim.New(harness.Seed("fault", sc.Name, "net")))
 
 	var refStats *tcp.Stats
 	ready := func(n *netsim.Network) {
@@ -162,6 +162,10 @@ func runTraceSpans(sc *fault.Scenario) {
 	fmt.Println("signature (loss recovery + the collapsed congestion window it leaves).")
 	if share < 0.9 {
 		fmt.Fprintf(os.Stderr, "critical path attribution too weak: %.1f%% < 90%%\n", 100*share)
+		os.Exit(1)
+	}
+	if err := ctx.Audit(); err != nil {
+		fmt.Fprintln(os.Stderr, "invariant violated:", err)
 		os.Exit(1)
 	}
 }

@@ -22,15 +22,20 @@ import (
 	"os"
 
 	"repro/internal/experiments"
-	"repro/internal/netsim"
+	"repro/internal/harness"
 )
 
 func main() {
-	flag.IntVar(&netsim.DefaultShards, "shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
+	shards := flag.Int("shards", 1, "run the simulated network on N parallel shards; output is byte-identical at any N")
 	flag.Parse()
 
-	res := experiments.Tier2(experiments.Tier2Config{})
+	ctx := &harness.Ctx{Shards: *shards}
+	res := experiments.Tier2(ctx, experiments.Tier2Config{})
 	fmt.Print(res.Render())
+	if err := ctx.Audit(); err != nil {
+		fmt.Fprintln(os.Stderr, "invariant violated:", err)
+		os.Exit(1)
+	}
 
 	if !res.Pass() {
 		fmt.Println("FAIL: a run did not finish its workload or did not audit clean")

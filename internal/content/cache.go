@@ -86,8 +86,9 @@ type pitEntry struct {
 }
 
 // NewCache attaches a content cache to the device and registers its
-// metrics collector on the network's telemetry plane (when attached).
-// The device must not already have an interceptor.
+// metrics collector with the network, which hands it to the telemetry
+// plane attached now or later. The device must not already have an
+// interceptor.
 func NewCache(dev *netsim.Device, cfg CacheConfig) *Cache {
 	cfg = cfg.withDefaults()
 	c := &Cache{
@@ -98,9 +99,7 @@ func NewCache(dev *netsim.Device, cfg CacheConfig) *Cache {
 	}
 	c.store.onEvict = c.noteEvict
 	dev.SetInterceptor(c)
-	if t := dev.Network().Telemetry(); t != nil {
-		t.Registry.RegisterCollector("content/"+dev.Name(), c.collect)
-	}
+	dev.Network().RegisterCollector("content/"+dev.Name(), c.collect)
 	return c
 }
 

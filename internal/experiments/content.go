@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/content"
+	"repro/internal/harness"
 	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/units"
@@ -99,13 +100,14 @@ type Tier2Result struct {
 }
 
 // runTier2Cell runs one population against one cache configuration.
-func runTier2Cell(cfg Tier2Config, cat *content.Catalog, skew float64, budget units.ByteSize) Tier2Row {
+func runTier2Cell(ctx *harness.Ctx, cfg Tier2Config, cat *content.Catalog, skew float64, budget units.ByteSize) Tier2Row {
 	t2 := topo.NewTier2(21, topo.Tier2Config{
 		Catalog:     cat,
 		Readers:     cfg.Readers,
 		CacheBudget: budget,
 		CacheAt:     cfg.CacheAt,
 	})
+	ctx.Adopt(fmt.Sprintf("skew=%g/budget=%d", skew, budget), t2.Net)
 	pop := content.NewPopulation(t2.Readers, content.PopulationConfig{
 		Origin:         t2.OriginHost.Name(),
 		Catalog:        cat,
@@ -146,7 +148,7 @@ func runTier2Cell(cfg Tier2Config, cat *content.Catalog, skew float64, budget un
 // many-reader topology. The headline claim: at classic Zipf (skew 1.0)
 // a DMZ cache holding 10% of the catalog keeps the majority of repeat
 // pull bytes off the WAN.
-func Tier2(cfg Tier2Config) *Tier2Result {
+func Tier2(ctx *harness.Ctx, cfg Tier2Config) *Tier2Result {
 	cfg = cfg.withDefaults()
 	cat := cfg.Catalog
 	if cat == nil {
@@ -158,8 +160,8 @@ func Tier2(cfg Tier2Config) *Tier2Result {
 	}
 	res := &Tier2Result{Cfg: cfg, Catalog: cat.TotalBytes, Budget: budget}
 	for _, skew := range cfg.Skews {
-		base := runTier2Cell(cfg, cat, skew, 0)
-		cached := runTier2Cell(cfg, cat, skew, budget)
+		base := runTier2Cell(ctx, cfg, cat, skew, 0)
+		cached := runTier2Cell(ctx, cfg, cat, skew, budget)
 		if base.WANEgress > 0 {
 			cached.Reduction = 1 - float64(cached.WANEgress)/float64(base.WANEgress)
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dtn"
 	"repro/internal/flowgen"
+	"repro/internal/harness"
 	"repro/internal/netsim"
 	"repro/internal/perfsonar"
 	"repro/internal/sim"
@@ -30,8 +31,8 @@ type Fig2Result struct {
 
 // Fig2 builds a five-site mesh with failing optics on one site's access
 // link, runs regular BWCTL testing, and renders the dashboard grid.
-func Fig2() *Fig2Result {
-	n := netsim.New(3)
+func Fig2(ctx *harness.Ctx) *Fig2Result {
+	n := ctx.Adopt("mesh", netsim.New(3))
 	core := n.NewDevice("backbone", netsim.DeviceConfig{EgressBuffer: 64 * units.MB})
 	sites := []string{"anl", "lbl", "ornl", "bnl", "slac"}
 	bad := "ornl"
@@ -90,12 +91,13 @@ func (r *Fig3Result) Speedup() float64 { return float64(r.DMZRate) / float64(r.C
 
 // Fig3 runs the before/after comparison with enterprise background
 // traffic present in both cases.
-func Fig3() *Fig3Result {
+func Fig3(ctx *harness.Ctx) *Fig3Result {
 	res := &Fig3Result{}
 
 	// Before: transfer to the science host through the firewall, with
 	// office traffic loading the enterprise path.
 	c1 := topo.NewCampus(1, topo.CampusConfig{})
+	ctx.Adopt("campus", c1.Net)
 	flowgen.StartBusiness(c1.OfficeHosts[0], c1.OfficeHosts[1:], flowgen.Business{FlowsPerSecond: 50}, 99)
 	res.CampusRate = transferRate(c1.Net, c1.RemoteDTN, c1.ScienceHost, 50*units.MB)
 	res.CampusPath = c1.Net.Path("remote-dtn", "science")
@@ -107,6 +109,7 @@ func Fig3() *Fig3Result {
 
 	// After: retrofit the same campus design and use the DMZ DTN.
 	c2 := topo.NewCampus(1, topo.CampusConfig{})
+	ctx.Adopt("retrofit", c2.Net)
 	flowgen.StartBusiness(c2.OfficeHosts[0], c2.OfficeHosts[1:], flowgen.Business{FlowsPerSecond: 50}, 99)
 	dep := core.Retrofit(c2.Net, c2.Border, []string{"remote-dtn"}, core.RetrofitConfig{})
 	res.DMZRate = transferRate(c2.Net, c2.RemoteDTN, dep.DTNs[0], 500*units.MB)
@@ -148,12 +151,13 @@ type Fig4Result struct {
 
 // Fig4 measures both ingestion paths on the supercomputer-center
 // topology.
-func Fig4() *Fig4Result {
+func Fig4(ctx *harness.Ctx) *Fig4Result {
 	res := &Fig4Result{DoubleCopies: 1}
 
 	// DTN path: remote -> 4 DTNs in parallel (data lands on the
 	// filesystem directly; FS bandwidth exceeds the WAN).
 	s := topo.NewSupercomputer(1, topo.SupercomputerConfig{})
+	ctx.Adopt("dtn", s.Net)
 	var done int
 	var finished sim.Time
 	per := units.ByteSize(200 * units.MB)
@@ -173,6 +177,7 @@ func Fig4() *Fig4Result {
 
 	// Login path: a single untuned login node with slow home storage.
 	s2 := topo.NewSupercomputer(2, topo.SupercomputerConfig{})
+	ctx.Adopt("login", s2.Net)
 	var st *dtn.Result
 	dtn.SCP{}.Start(s2.RemoteDTN, s2.Login, 20*units.MB, func(r *dtn.Result) { st = r })
 	s2.Net.RunFor(5 * time.Minute)
@@ -223,8 +228,9 @@ type Fig5Result struct {
 }
 
 // Fig5 measures the big-data design.
-func Fig5() *Fig5Result {
+func Fig5(ctx *harness.Ctx) *Fig5Result {
 	b := topo.NewBigData(1, topo.BigDataConfig{})
+	ctx.Adopt("bigdata", b.Net)
 	var srcs, dsts []*netsim.Host
 	for i, x := range b.RemoteCluster {
 		srcs = append(srcs, x.Host)
@@ -274,10 +280,11 @@ type Fig67Result struct {
 
 // Fig67 measures per-host physics-cluster throughput before and after
 // the switch fix, with perfSONAR watching.
-func Fig67() *Fig67Result {
+func Fig67(ctx *harness.Ctx) *Fig67Result {
 	res := &Fig67Result{}
 	run := func(fixed bool) units.BitRate {
 		c := topo.NewColorado(1, topo.ColoradoConfig{FixedSwitch: fixed})
+		ctx.Adopt(fmt.Sprintf("fixed=%v", fixed), c.Net)
 		res.Hosts = len(c.Physics)
 
 		// perfSONAR: regular throughput tests from the 1G test host to

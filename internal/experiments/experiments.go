@@ -5,6 +5,9 @@
 // method producing the table/series the paper reports.
 //
 // Seeds are fixed: every experiment is deterministic and reproducible.
+// Each takes the run context (harness.Ctx) and adopts every network it
+// builds, so the caller's shard count and telemetry plane reach them
+// and the caller's Audit covers them.
 package experiments
 
 import (
@@ -22,8 +25,8 @@ import (
 
 // fig1Path builds the Figure 1 measurement path: 10G hosts, jumbo
 // frames, adjustable RTT and loss, deep-buffered routers.
-func fig1Path(seed int64, rtt time.Duration, loss netsim.LossModel) (*netsim.Network, *netsim.Host, *netsim.Host) {
-	n := netsim.New(seed)
+func fig1Path(ctx *harness.Ctx, label string, seed int64, rtt time.Duration, loss netsim.LossModel) (*netsim.Network, *netsim.Host, *netsim.Host) {
+	n := ctx.Adopt(label, netsim.New(seed))
 	c, s := fig1PathOn(n, rtt, loss)
 	return n, c, s
 }
@@ -72,9 +75,6 @@ type Fig1Config struct {
 	LossRate float64
 	// Duration is simulated measurement time per point; zero means 8 s.
 	Duration time.Duration
-	// Parallel is the harness worker count; zero means GOMAXPROCS. The
-	// result is byte-identical at every value.
-	Parallel int
 }
 
 // rttPoint is one Figure 1 sweep point.
@@ -84,11 +84,12 @@ func (p rttPoint) Key() string { return "rtt=" + p.rtt.String() }
 
 // Fig1 reproduces Figure 1: TCP throughput vs RTT with packet loss,
 // comparing the loss-free path, the Mathis prediction, and measured
-// Reno and H-TCP. RTT points run in parallel on the sweep harness;
+// Reno and H-TCP. RTT points run in parallel on the sweep harness
+// (ctx.Parallel workers; the result is byte-identical at any count);
 // every simulation is audited for conservation/accounting invariants,
 // and a violation panics — it means the simulator itself is broken, so
 // no figure derived from it can be trusted.
-func Fig1(cfg Fig1Config) *Fig1Result {
+func Fig1(ctx *harness.Ctx, cfg Fig1Config) *Fig1Result {
 	if len(cfg.RTTs) == 0 {
 		cfg.RTTs = []time.Duration{
 			1 * time.Millisecond, 5 * time.Millisecond, 10 * time.Millisecond,
@@ -134,8 +135,7 @@ func Fig1(cfg Fig1Config) *Fig1Result {
 	for i, rtt := range cfg.RTTs {
 		points[i] = rttPoint{rtt}
 	}
-	camp := harness.Campaign{Name: "experiments/fig1", Parallel: cfg.Parallel}
-	r := harness.Sweep(camp.Sweep("throughput-vs-rtt"), points, func(ctx *harness.Ctx, p rttPoint) (Fig1Point, error) {
+	r := harness.Sweep(ctx, "experiments/fig1/throughput-vs-rtt", points, func(ctx *harness.Ctx, p rttPoint) (Fig1Point, error) {
 		return Fig1Point{
 			RTT:      p.rtt,
 			LossFree: measure(ctx, "lossfree", p.rtt, false, tcp.NewReno{}),
@@ -192,7 +192,7 @@ type LineCardResult struct {
 // LineCard reproduces §2.1: a router line card dropping 1 of every
 // 22,000 packets is invisible to SNMP error counters, detected by OWAMP,
 // and collapses end-to-end TCP at WAN RTT.
-func LineCard() *LineCardResult {
+func LineCard(ctx *harness.Ctx) *LineCardResult {
 	const rtt = 50 * time.Millisecond
 	res := &LineCardResult{RTT: rtt, DeviceLoss: 1.0 / 22000}
 
@@ -201,7 +201,7 @@ func LineCard() *LineCardResult {
 		if faulty {
 			loss = &netsim.PeriodicLoss{N: 22000}
 		}
-		n, c, s := fig1Path(7, rtt, loss)
+		n, c, s := fig1Path(ctx, fmt.Sprintf("faulty=%v", faulty), 7, rtt, loss)
 		srv := tcp.NewServer(s, 5001, tcp.Tuned())
 		conn := tcp.Dial(c, srv, -1, tcp.Tuned(), nil)
 		n.RunFor(12 * time.Second)
@@ -221,7 +221,7 @@ func LineCard() *LineCardResult {
 	res.MathisAtFault = analytic.EffectiveMathisRate(10*units.Gbps, 8960, rtt, res.DeviceLoss)
 
 	// OWAMP sees the loss directly: probes through the same wire.
-	n, c, s := fig1Path(9, rtt, &netsim.PeriodicLoss{N: 2200}) // accelerated x10 for probe-rate statistics
+	n, c, s := fig1Path(ctx, "owamp", 9, rtt, &netsim.PeriodicLoss{N: 2200}) // accelerated x10 for probe-rate statistics
 	lossSeen := owampLoss(n, c, s, time.Millisecond, 60*time.Second)
 	res.OwampLoss = lossSeen / 10 // de-accelerate
 	return res
@@ -274,7 +274,7 @@ type Fig8Result struct {
 
 // Fig8 measures the Penn State pathology in both directions, before and
 // after disabling the firewall feature.
-func Fig8() *Fig8Result {
+func Fig8(ctx *harness.Ctx) *Fig8Result {
 	res := &Fig8Result{
 		RTT:            10 * time.Millisecond,
 		RequiredWindow: analytic.RequiredWindow(units.Gbps, 10*time.Millisecond),
@@ -282,6 +282,7 @@ func Fig8() *Fig8Result {
 	}
 	run := func(seqCheck, inbound bool) units.BitRate {
 		p := topo.NewPennState(1, topo.PennStateConfig{SequenceChecking: seqCheck})
+		ctx.Adopt("pennstate", p.Net)
 		src, dst := p.VTTIHost, p.Colo
 		if !inbound {
 			src, dst = dst, src

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/harness"
+	"repro/internal/telemetry"
 )
 
 // skipIfShort gates multi-second simulations out of -short runs (the
@@ -14,10 +18,22 @@ func skipIfShort(t *testing.T) {
 	}
 }
 
+// runCtx returns a run context whose networks are audited when the test
+// ends.
+func runCtx(t *testing.T) *harness.Ctx {
+	ctx := &harness.Ctx{}
+	t.Cleanup(func() {
+		if err := ctx.Audit(); err != nil {
+			t.Error(err)
+		}
+	})
+	return ctx
+}
+
 // quickFig1 keeps unit-test cost low; the benchmark harness runs the
 // full default sweep.
-func quickFig1() *Fig1Result {
-	return Fig1(Fig1Config{
+func quickFig1(t *testing.T) *Fig1Result {
+	return Fig1(runCtx(t), Fig1Config{
 		RTTs:     []time.Duration{2 * time.Millisecond, 20 * time.Millisecond, 80 * time.Millisecond},
 		Duration: 3 * time.Second,
 	})
@@ -25,7 +41,7 @@ func quickFig1() *Fig1Result {
 
 func TestFig1Shape(t *testing.T) {
 	skipIfShort(t)
-	r := quickFig1()
+	r := quickFig1(t)
 	if len(r.Points) != 3 {
 		t.Fatalf("points = %d", len(r.Points))
 	}
@@ -65,7 +81,7 @@ func TestFig1Shape(t *testing.T) {
 
 func TestLineCardStory(t *testing.T) {
 	skipIfShort(t)
-	r := LineCard()
+	r := LineCard(runCtx(t))
 	if r.WireDrops == 0 {
 		t.Error("no wire drops recorded")
 	}
@@ -85,7 +101,7 @@ func TestLineCardStory(t *testing.T) {
 }
 
 func TestFig8Relationships(t *testing.T) {
-	r := Fig8()
+	r := Fig8(runCtx(t))
 	if r.InFactor() < 4 {
 		t.Errorf("inbound improvement %.1fx, paper ~5x", r.InFactor())
 	}
@@ -106,7 +122,7 @@ func TestFig8Relationships(t *testing.T) {
 
 func TestFig2DashboardShowsDegradedSite(t *testing.T) {
 	skipIfShort(t)
-	r := Fig2()
+	r := Fig2(runCtx(t))
 	if !strings.Contains(r.Grid, "BAD") && !strings.Contains(r.Grid, "WRN") {
 		t.Errorf("grid shows no degradation:\n%s", r.Grid)
 	}
@@ -126,7 +142,7 @@ func TestFig2DashboardShowsDegradedSite(t *testing.T) {
 
 func TestFig3BeforeAfter(t *testing.T) {
 	skipIfShort(t)
-	r := Fig3()
+	r := Fig3(runCtx(t))
 	if r.Speedup() < 10 {
 		t.Errorf("speedup = %.1fx (%.0f -> %.0f Mbps), want order of magnitude",
 			r.Speedup(), float64(r.CampusRate)/1e6, float64(r.DMZRate)/1e6)
@@ -149,7 +165,7 @@ func TestFig3BeforeAfter(t *testing.T) {
 }
 
 func TestFig4IngestionPaths(t *testing.T) {
-	r := Fig4()
+	r := Fig4(runCtx(t))
 	if r.DTNRate <= 4*r.LoginRate {
 		t.Errorf("DTN %v vs login %v: want dramatic advantage", r.DTNRate, r.LoginRate)
 	}
@@ -166,7 +182,7 @@ func TestFig4IngestionPaths(t *testing.T) {
 
 func TestFig5BigDataSite(t *testing.T) {
 	skipIfShort(t)
-	r := Fig5()
+	r := Fig5(runCtx(t))
 	if r.AggregateGbps < 20 {
 		t.Errorf("aggregate = %.1f Gbps, want > 20 on a 40G WAN", r.AggregateGbps)
 	}
@@ -183,7 +199,7 @@ func TestFig5BigDataSite(t *testing.T) {
 
 func TestFig67Colorado(t *testing.T) {
 	skipIfShort(t)
-	r := Fig67()
+	r := Fig67(runCtx(t))
 	if !r.Degraded {
 		t.Error("faulty switch should degrade")
 	}
@@ -203,7 +219,7 @@ func TestFig67Colorado(t *testing.T) {
 
 func TestNOAARepatriation(t *testing.T) {
 	skipIfShort(t)
-	r := NOAA()
+	r := NOAA(runCtx(t))
 	mbs := float64(r.FTPRate) / 8e6
 	if mbs < 0.5 || mbs > 5 {
 		t.Errorf("FTP = %.1f MB/s, paper: 1-2 MB/s", mbs)
@@ -225,7 +241,7 @@ func TestNOAARepatriation(t *testing.T) {
 
 func TestNERSCCarbon14(t *testing.T) {
 	skipIfShort(t)
-	r := NERSC()
+	r := NERSC(runCtx(t))
 	if r.Legacy33GB < 5*time.Hour {
 		t.Errorf("legacy 33GB = %v, paper: 'more than an entire workday'", r.Legacy33GB)
 	}
@@ -244,7 +260,7 @@ func TestNERSCCarbon14(t *testing.T) {
 
 func TestRoCECircuits(t *testing.T) {
 	skipIfShort(t)
-	r := RoCE()
+	r := RoCE(runCtx(t))
 	if r.CircuitGbps < 37 {
 		t.Errorf("circuit RoCE = %.1f, paper: 39.5", r.CircuitGbps)
 	}
@@ -261,7 +277,7 @@ func TestRoCECircuits(t *testing.T) {
 
 func TestSDNBypassExperiment(t *testing.T) {
 	skipIfShort(t)
-	r := SDNBypass()
+	r := SDNBypass(runCtx(t))
 	if r.BypassGbps < 3*r.FirewalledGbps {
 		t.Errorf("bypass %.2f vs firewalled %.2f: want big win", r.BypassGbps, r.FirewalledGbps)
 	}
@@ -274,7 +290,7 @@ func TestSDNBypassExperiment(t *testing.T) {
 }
 
 func TestAuditDesigns(t *testing.T) {
-	r := AuditDesigns()
+	r := AuditDesigns(runCtx(t))
 	if len(r.Rows) != 2 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -291,7 +307,7 @@ func TestAuditDesigns(t *testing.T) {
 
 func TestSawtoothShape(t *testing.T) {
 	skipIfShort(t)
-	r := Sawtooth(20*time.Millisecond, 2*time.Second, 8*time.Second)
+	r := Sawtooth(runCtx(t), 20*time.Millisecond, 2*time.Second, 8*time.Second)
 	if r.Backoffs < 3 {
 		t.Fatalf("backoffs = %d", r.Backoffs)
 	}
@@ -319,9 +335,30 @@ func TestSawtoothShape(t *testing.T) {
 	}
 }
 
+// TestSawtoothSameUnderTelemetry: observing a run never changes it. A
+// telemetry plane sampling every 100 ms must leave the cwnd and goodput
+// traces exactly as an unobserved run draws them.
+func TestSawtoothSameUnderTelemetry(t *testing.T) {
+	skipIfShort(t)
+	plain := Sawtooth(runCtx(t), 20*time.Millisecond, 2*time.Second, 3*time.Second)
+	observed := runCtx(t)
+	observed.Telemetry = telemetry.New()
+	observed.Telemetry.SampleInterval = 100 * time.Millisecond
+	traced := Sawtooth(observed, 20*time.Millisecond, 2*time.Second, 3*time.Second)
+	if len(observed.Telemetry.Snapshots) == 0 {
+		t.Fatal("the telemetry plane took no snapshots")
+	}
+	if got, want := traced.Render(), plain.Render(); got != want {
+		t.Errorf("sampling changed the sawtooth:\n--- without telemetry ---\n%s\n--- with ---\n%s", want, got)
+	}
+	if !reflect.DeepEqual(traced.Rate, plain.Rate) {
+		t.Error("sampling changed the goodput trace")
+	}
+}
+
 func TestHybridExperiment(t *testing.T) {
 	skipIfShort(t)
-	r := Hybrid()
+	r := Hybrid(runCtx(t))
 	if !r.Pass() {
 		for _, v := range r.Validation {
 			for _, f := range v.Failures(r.Tolerance) {

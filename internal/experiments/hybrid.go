@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/fluid"
+	"repro/internal/harness"
 	"repro/internal/stats"
 	"repro/internal/units"
 )
@@ -50,38 +51,35 @@ func hybridScale(flows int) fluid.Scenario {
 // Hybrid runs the validation scenarios in both modes and then sweeps
 // the background scale 10³ → 10⁵ flows in hybrid mode (all-packet
 // reference at 10³ only; beyond that the per-packet cost is the
-// problem being solved).
-func Hybrid() *HybridResult {
+// problem being solved). Its networks take ctx's shard count but not
+// its telemetry plane, and an invariant violation panics, as in Fig1.
+func Hybrid(ctx *harness.Ctx) *HybridResult {
+	untraced := &harness.Ctx{Shards: ctx.Shards}
 	res := &HybridResult{Tolerance: fluid.DefaultTolerance()}
 	for _, sc := range fluid.Scenarios() {
-		res.Validation = append(res.Validation, fluid.Validate(sc))
+		res.Validation = append(res.Validation, fluid.Validate(untraced, sc))
 	}
 	for _, flows := range []int{1_000, 10_000, 100_000} {
 		sc := hybridScale(flows)
 		pt := HybridScalePoint{Flows: flows}
 		if flows <= 1_000 {
-			st := fluid.RunPacket(sc)
+			st := fluid.RunPacket(untraced, sc)
 			pt.Packet = &st
 		}
-		pt.Hybrid, _ = fluid.RunHybrid(sc)
+		pt.Hybrid, _ = fluid.RunHybrid(untraced, sc)
 		res.Scale = append(res.Scale, pt)
+	}
+	if err := untraced.Audit(); err != nil {
+		panic("experiments: " + err.Error())
 	}
 	return res
 }
 
 // Pass reports whether every validation scenario agreed within
-// tolerance and every run passed the invariant audit.
+// tolerance. Hybrid itself panics on an invariant violation.
 func (r *HybridResult) Pass() bool {
 	for _, v := range r.Validation {
 		if !v.Pass(r.Tolerance) {
-			return false
-		}
-	}
-	for _, p := range r.Scale {
-		if len(p.Hybrid.AuditErrs) != 0 {
-			return false
-		}
-		if p.Packet != nil && len(p.Packet.AuditErrs) != 0 {
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/netsim"
 	"repro/internal/stats"
 	"repro/internal/tcp"
@@ -26,8 +27,8 @@ type SawtoothResult struct {
 // The trace starts after the flow has descended from its slow-start
 // overshoot into the loss-limited regime, where the classic halve-then-
 // linear-regrow oscillation is visible.
-func Sawtooth(rtt time.Duration, lossEvery time.Duration, dur time.Duration) *SawtoothResult {
-	n, c, s := fig1Path(13, rtt, nil)
+func Sawtooth(ctx *harness.Ctx, rtt time.Duration, lossEvery time.Duration, dur time.Duration) *SawtoothResult {
+	n, c, s := fig1Path(ctx, "sawtooth", 13, rtt, nil)
 	srv := tcp.NewServer(s, 5001, tcp.Tuned())
 	conn := tcp.Dial(c, srv, -1, tcp.Tuned(), nil)
 

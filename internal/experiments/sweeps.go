@@ -37,9 +37,6 @@ type SweepConfig struct {
 
 	// Duration is simulated measurement time per point; zero means 4 s.
 	Duration time.Duration
-
-	// Parallel is the harness worker count; zero means GOMAXPROCS.
-	Parallel int
 }
 
 // SweepRow is one sweep point's outcome.
@@ -68,10 +65,10 @@ type sweepPoint struct {
 func (p sweepPoint) Key() string { return p.label }
 
 // RunSweep executes the configured sweep deterministically: results are
-// byte-identical at every Parallel level, and every simulation is
-// audited for packet conservation, queue accounting, drop bookkeeping
-// agreement, and clock sanity.
-func RunSweep(cfg SweepConfig) (*SweepResult, error) {
+// byte-identical at any ctx.Parallel worker count, and every simulation
+// is audited for packet conservation, queue accounting, drop
+// bookkeeping agreement, and clock sanity.
+func RunSweep(ctx *harness.Ctx, cfg SweepConfig) (*SweepResult, error) {
 	if cfg.Axis == "" {
 		cfg.Axis = "loss"
 	}
@@ -106,8 +103,7 @@ func RunSweep(cfg SweepConfig) (*SweepResult, error) {
 		}
 	}
 
-	camp := harness.Campaign{Name: "experiments/sweep-" + cfg.Axis, Parallel: cfg.Parallel}
-	res := harness.Sweep(camp.Sweep(cfg.Axis), points, func(ctx *harness.Ctx, p sweepPoint) (SweepRow, error) {
+	res := harness.Sweep(ctx, "experiments/sweep-"+cfg.Axis+"/"+cfg.Axis, points, func(ctx *harness.Ctx, p sweepPoint) (SweepRow, error) {
 		n := ctx.NewNetwork("path")
 		c, s := fig1PathOn(n, p.rtt, netsim.RandomLoss{P: p.loss})
 		srv := tcp.NewServer(s, 5001, tcp.Tuned())

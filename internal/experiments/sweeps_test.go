@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/harness"
 )
 
 func quickSweepConfig() SweepConfig {
@@ -18,13 +20,13 @@ func quickSweepConfig() SweepConfig {
 }
 
 func TestRunSweepValidation(t *testing.T) {
-	if _, err := RunSweep(SweepConfig{Axis: "mtu", Min: 1, Max: 2}); err == nil {
+	if _, err := RunSweep(runCtx(t), SweepConfig{Axis: "mtu", Min: 1, Max: 2}); err == nil {
 		t.Error("unknown axis accepted")
 	}
-	if _, err := RunSweep(SweepConfig{Axis: "loss", Min: 0, Max: 1e-2}); err == nil {
+	if _, err := RunSweep(runCtx(t), SweepConfig{Axis: "loss", Min: 0, Max: 1e-2}); err == nil {
 		t.Error("zero min accepted (log spacing needs min > 0)")
 	}
-	if _, err := RunSweep(SweepConfig{Axis: "loss", Min: 1e-2, Max: 1e-4}); err == nil {
+	if _, err := RunSweep(runCtx(t), SweepConfig{Axis: "loss", Min: 1e-2, Max: 1e-4}); err == nil {
 		t.Error("inverted bounds accepted")
 	}
 }
@@ -35,9 +37,7 @@ func TestRunSweepValidation(t *testing.T) {
 func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	var outs []string
 	for _, par := range []int{1, 8} {
-		cfg := quickSweepConfig()
-		cfg.Parallel = par
-		r, err := RunSweep(cfg)
+		r, err := RunSweep(&harness.Ctx{Parallel: par}, quickSweepConfig())
 		if err != nil {
 			t.Fatalf("parallel=%d: %v", par, err)
 		}
@@ -51,7 +51,7 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 }
 
 func TestRunSweepLossAxisShape(t *testing.T) {
-	r, err := RunSweep(quickSweepConfig())
+	r, err := RunSweep(runCtx(t), quickSweepConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestRunSweepLossAxisShape(t *testing.T) {
 }
 
 func TestRunSweepRTTAxis(t *testing.T) {
-	r, err := RunSweep(SweepConfig{
+	r, err := RunSweep(runCtx(t), SweepConfig{
 		Axis:     "rtt",
 		Min:      0.002,
 		Max:      0.02,

@@ -9,6 +9,7 @@ import (
 	"repro/internal/dtn"
 	"repro/internal/firewall"
 	"repro/internal/flowgen"
+	"repro/internal/harness"
 	"repro/internal/ids"
 	"repro/internal/netsim"
 	"repro/internal/rdma"
@@ -43,12 +44,13 @@ var noaaWAN = topo.WANConfig{Rate: 10 * units.Gbps, Delay: 12500 * time.Microsec
 // NOAA measures both transfer paths and extrapolates the dataset job.
 // The paper's numbers: 1-2 MB/s through the firewall; ~395 MB/s via the
 // DTN; 239.5 GB in just over 10 minutes.
-func NOAA() *NOAAResult {
+func NOAA(ctx *harness.Ctx) *NOAAResult {
 	ds := flowgen.NOAAReforecast()
 	res := &NOAAResult{DatasetSize: ds.Total(), Files: len(ds.Files)}
 
 	// Before: FTP server behind the NOAA firewall (campus topology).
 	c := topo.NewCampus(1, topo.CampusConfig{WAN: noaaWAN})
+	ctx.Adopt("campus", c.Net)
 	var ftp *dtn.Result
 	dtn.LegacyFTP{}.Start(c.RemoteDTN, c.ScienceHost, 20*units.MB, func(r *dtn.Result) { ftp = r })
 	c.Net.RunFor(3 * time.Minute)
@@ -62,6 +64,7 @@ func NOAA() *NOAAResult {
 		WAN:     noaaWAN,
 		DTNDisk: dtn.Disk{ReadRate: 3200 * units.Mbps, WriteRate: 3200 * units.Mbps},
 	})
+	ctx.Adopt("dmz", d.Net)
 	var g *dtn.Result
 	dtn.GridFTP{Streams: 4}.Start(d.RemoteDTN, d.DTN, 2*units.GB, func(r *dtn.Result) { g = r })
 	d.Net.RunFor(2 * time.Minute)
@@ -113,11 +116,12 @@ type NERSCResult struct {
 var nerscWAN = topo.WANConfig{Rate: 10 * units.Gbps, Delay: 35 * time.Millisecond, MTU: 1500}
 
 // NERSC measures both workflows.
-func NERSC() *NERSCResult {
+func NERSC(ctx *harness.Ctx) *NERSCResult {
 	res := &NERSCResult{}
 
 	// Legacy: untuned transfer through the general-purpose network.
 	c := topo.NewCampus(1, topo.CampusConfig{WAN: nerscWAN})
+	ctx.Adopt("campus", c.Net)
 	var legacy *dtn.Result
 	dtn.LegacyFTP{}.Start(c.RemoteDTN, c.ScienceHost, 10*units.MB, func(r *dtn.Result) { legacy = r })
 	c.Net.RunFor(3 * time.Minute)
@@ -131,6 +135,7 @@ func NERSC() *NERSCResult {
 		WAN:     nerscWAN,
 		DTNDisk: dtn.Disk{ReadRate: 1600 * units.Mbps, WriteRate: 1600 * units.Mbps},
 	})
+	ctx.Adopt("dmz", d.Net)
 	var fast *dtn.Result
 	dtn.GridFTP{Streams: 8}.Start(d.RemoteDTN, d.DTN, units.GB, func(r *dtn.Result) { fast = r })
 	d.Net.RunFor(2 * time.Minute)
@@ -172,14 +177,14 @@ type RoCEResult struct {
 }
 
 // RoCE runs the three comparisons on a 40GE path.
-func RoCE() *RoCEResult {
+func RoCE(ctx *harness.Ctx) *RoCEResult {
 	res := &RoCEResult{
 		CPUFactor: rdma.TCPCPUCost.CyclesPerByte / rdma.RoCECPUCost.CyclesPerByte,
 		RoCECores: rdma.RoCECPUCost.Utilization(39.5 * units.Gbps),
 		TCPCores:  rdma.TCPCPUCost.Utilization(39.5 * units.Gbps),
 	}
 	build := func(seed int64) (*netsim.Network, *netsim.Host, *netsim.Host, *netsim.Host) {
-		n := netsim.New(seed)
+		n := ctx.Adopt(fmt.Sprintf("path-%d", seed), netsim.New(seed))
 		d1 := n.NewHost("dtn1")
 		d2 := n.NewHost("dtn2")
 		x := n.NewHost("cross")
@@ -253,10 +258,10 @@ type SDNResult struct {
 
 // SDNBypass measures the §7.3 design on a DMZ with both a firewalled and
 // a direct path.
-func SDNBypass() *SDNResult {
+func SDNBypass(ctx *harness.Ctx) *SDNResult {
 	res := &SDNResult{}
 	run := func(bypass bool) float64 {
-		n := netsim.New(5)
+		n := ctx.Adopt(fmt.Sprintf("bypass=%v", bypass), netsim.New(5))
 		remote := n.NewHost("remote")
 		host := n.NewHost("dtn")
 		border := n.NewDevice("border", netsim.DeviceConfig{EgressBuffer: 16 * units.MB})
@@ -328,10 +333,11 @@ type AuditRow struct {
 
 // AuditDesigns audits the campus (non-compliant by construction), the
 // retrofitted campus, and the simple DMZ.
-func AuditDesigns() *AuditResult {
+func AuditDesigns(ctx *harness.Ctx) *AuditResult {
 	res := &AuditResult{}
 
 	c := topo.NewCampus(1, topo.CampusConfig{})
+	ctx.Adopt("campus", c.Net)
 	r1 := core.Audit(core.Deployment{
 		Net: c.Net, Border: c.Border,
 		DTNs:     []*dtn.Node{c.ScienceHost},
@@ -340,6 +346,7 @@ func AuditDesigns() *AuditResult {
 	res.Rows = append(res.Rows, AuditRow{"general-purpose campus", r1.Count(core.SeverityCritical), r1.Count(core.SeverityWarning), r1.Compliant()})
 
 	c2 := topo.NewCampus(2, topo.CampusConfig{})
+	ctx.Adopt("retrofit", c2.Net)
 	dep := core.Retrofit(c2.Net, c2.Border, []string{"remote-dtn"}, core.RetrofitConfig{})
 	r2 := core.Audit(*dep)
 	res.Rows = append(res.Rows, AuditRow{"retrofitted campus (Retrofit)", r2.Count(core.SeverityCritical), r2.Count(core.SeverityWarning), r2.Compliant()})

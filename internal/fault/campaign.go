@@ -24,10 +24,6 @@ type CampaignConfig struct {
 	// for random/gilbert/degrading faults, or 1/N for periodic loss.
 	// Empty keeps the base scenario's severity (a single row set).
 	Severities []float64
-
-	// Parallel is the harness worker count; any value is
-	// byte-identical.
-	Parallel int
 }
 
 // CampaignRow is one (severity, period) cell's verdict for the
@@ -55,8 +51,9 @@ func (p campaignPoint) Key() string {
 
 // RunCampaign executes the sweep on the parallel harness. Every point
 // runs on an isolated network with seeds derived from the point's
-// identity, so results are byte-identical at any Parallel value.
-func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
+// identity, so results are byte-identical at any ctx.Parallel worker
+// count.
+func RunCampaign(ctx *harness.Ctx, cfg CampaignConfig) (*CampaignResult, error) {
 	if cfg.Base == nil {
 		return nil, fmt.Errorf("fault campaign: a base scenario is required")
 	}
@@ -77,11 +74,7 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 		}
 	}
 
-	sweep := harness.Campaign{
-		Name:     "fault/" + cfg.Base.Name,
-		Parallel: cfg.Parallel,
-	}.Sweep("mttd")
-	res := harness.Sweep(sweep, points, func(ctx *harness.Ctx, p campaignPoint) (Verdict, error) {
+	res := harness.Sweep(ctx, "fault/"+cfg.Base.Name+"/mttd", points, func(ctx *harness.Ctx, p campaignPoint) (Verdict, error) {
 		sc := cfg.Base.Clone()
 		sc.Monitor.BWCTLPeriod = Dur(p.period)
 		if err := applySeverity(sc, p.sev); err != nil {

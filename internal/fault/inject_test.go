@@ -4,16 +4,29 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/units"
 )
 
+// runCtx returns a run context whose networks are audited when the test
+// ends.
+func runCtx(t *testing.T) *harness.Ctx {
+	ctx := &harness.Ctx{}
+	t.Cleanup(func() {
+		if err := ctx.Audit(); err != nil {
+			t.Error(err)
+		}
+	})
+	return ctx
+}
+
 // testNet builds a tiny manual topology: hosts a, b around router r.
 func testNet(t *testing.T) (*netsim.Network, *netsim.Link, *netsim.Link) {
 	t.Helper()
-	n := netsim.NewIsolated(1)
+	n := runCtx(t).Adopt("unit", netsim.New(1))
 	r := n.NewDevice("r", netsim.DeviceConfig{})
 	la := n.Connect(n.NewHost("a"), r, netsim.LinkConfig{Rate: units.Gbps, Delay: time.Millisecond})
 	lb := n.Connect(n.NewHost("b"), r, netsim.LinkConfig{Rate: units.Gbps, Delay: time.Millisecond})

@@ -146,13 +146,14 @@ func toolkitOf(mesh *perfsonar.Mesh, sites []string, name string) *perfsonar.Too
 	return nil
 }
 
-// Run executes a scenario standalone on a fresh network (attached to
-// netsim.DefaultTelemetry when set, so dmzsim -faults -trace works).
-func Run(sc *Scenario) (*Report, error) {
+// Run executes a scenario standalone on a fresh network that ctx adopts
+// (so its telemetry plane, when set, sees the run: dmzsim -faults
+// -trace).
+func Run(ctx *harness.Ctx, sc *Scenario) (*Report, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	return Execute(netsim.New(harness.Seed("fault", sc.Name, "net")), sc, nil)
+	return Execute(ctx.Adopt("fault", netsim.New(harness.Seed("fault", sc.Name, "net"))), sc, nil)
 }
 
 // Render produces the scenario report: one row per injected fault with

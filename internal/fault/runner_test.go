@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/netsim"
 )
 
@@ -24,7 +25,7 @@ func TestMonitorDetectsViaContinuousOWAMP(t *testing.T) {
 			Loss: &LossSpec{Model: LossRandom, P: 0.05},
 		}},
 	}
-	rep, err := Execute(netsim.NewIsolated(42), sc, nil)
+	rep, err := Execute(runCtx(t).Adopt("net", netsim.New(42)), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestMonitorDetectsViaContinuousOWAMP(t *testing.T) {
 // the fault clears.
 func TestClosedLoopBWCTLDetectProbeLocalize(t *testing.T) {
 	sc := closedLoopScenario()
-	rep, err := Execute(netsim.NewIsolated(7), sc, nil)
+	rep, err := Execute(runCtx(t).Adopt("net", netsim.New(7)), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestMonitorOutageDetected(t *testing.T) {
 			Onset: Dur(10 * time.Second), Duration: Dur(15 * time.Second),
 		}},
 	}
-	rep, err := Execute(netsim.NewIsolated(3), sc, nil)
+	rep, err := Execute(runCtx(t).Adopt("net", netsim.New(3)), sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,13 +135,11 @@ func TestCampaignMTTDMonotoneAndParallelInvariant(t *testing.T) {
 		Base:    closedLoopScenario(),
 		Periods: []time.Duration{4 * time.Second, 2 * time.Second},
 	}
-	cfg.Parallel = 1
-	seq, err := RunCampaign(cfg)
+	seq, err := RunCampaign(&harness.Ctx{Parallel: 1}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Parallel = 8
-	par, err := RunCampaign(cfg)
+	par, err := RunCampaign(&harness.Ctx{Parallel: 8}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,12 +15,7 @@ import (
 // given rate and the WAN latency on the server side. The network's
 // invariants are audited when the test ends.
 func fwPath(t *testing.T, cfg Config, rate units.BitRate, oneWay time.Duration) (*netsim.Network, *netsim.Host, *netsim.Host, *Firewall) {
-	n := netsim.New(1)
-	t.Cleanup(func() {
-		for _, err := range n.AuditInvariants() {
-			t.Errorf("audit: %v", err)
-		}
-	})
+	n := auditedNet(t)
 	c := n.NewHost("client")
 	s := n.NewHost("server")
 	fw := New(n, "fw", cfg)
@@ -28,6 +23,18 @@ func fwPath(t *testing.T, cfg Config, rate units.BitRate, oneWay time.Duration) 
 	n.Connect(fw, s, netsim.LinkConfig{Rate: rate, Delay: oneWay})
 	n.ComputeRoutes()
 	return n, c, s, fw
+}
+
+// auditedNet returns an empty network whose simulation invariants are
+// audited when the test ends.
+func auditedNet(t *testing.T) *netsim.Network {
+	n := netsim.New(1)
+	t.Cleanup(func() {
+		for _, err := range n.AuditInvariants() {
+			t.Errorf("audit: %v", err)
+		}
+	})
+	return n
 }
 
 func TestForwardsAndCountsSessions(t *testing.T) {
@@ -90,7 +97,7 @@ func TestManySlowFlowsPassClean(t *testing.T) {
 	// The business-traffic profile the firewall was designed for: many
 	// slow flows spread across engines, no loss.
 	cfg := Config{Processors: 8, ProcRate: 1250 * units.Mbps, InputBuffer: 256 * units.KB}
-	n := netsim.New(1)
+	n := auditedNet(t)
 	fw := New(n, "fw", cfg)
 	s := n.NewHost("server")
 	n.Connect(fw, s, netsim.LinkConfig{Rate: 10 * units.Gbps, Delay: time.Millisecond})

@@ -15,8 +15,8 @@ import (
 //	               \---(fw2)---/
 //
 // with default routes via fw1.
-func haTopo() (*netsim.Network, *netsim.Host, *netsim.Host, *HAPair, *netsim.Link) {
-	n := netsim.New(1)
+func haTopo(t *testing.T) (*netsim.Network, *netsim.Host, *netsim.Host, *HAPair, *netsim.Link) {
+	n := auditedNet(t)
 	remote := n.NewHost("remote")
 	office := n.NewHost("office")
 	border := n.NewDevice("border", netsim.DeviceConfig{EgressBuffer: 16 * units.MB})
@@ -45,7 +45,7 @@ func haTopo() (*netsim.Network, *netsim.Host, *netsim.Host, *HAPair, *netsim.Lin
 }
 
 func TestHAPairFailoverKeepsServiceUp(t *testing.T) {
-	n, remote, office, pair, activeLink := haTopo()
+	n, remote, office, pair, activeLink := haTopo(t)
 	fw1 := pair.Active
 
 	srv := tcp.NewServer(office, 443, tcp.Legacy())
@@ -87,7 +87,7 @@ func TestHAPairFailoverKeepsServiceUp(t *testing.T) {
 }
 
 func TestHAPairSessionReplication(t *testing.T) {
-	n, remote, office, pair, activeLink := haTopo()
+	n, remote, office, pair, activeLink := haTopo(t)
 	srv := tcp.NewServer(office, 443, tcp.Legacy())
 	tcp.Dial(remote, srv, units.MB, tcp.Legacy(), nil)
 	n.RunFor(2 * time.Second)
@@ -104,7 +104,7 @@ func TestHAPairSessionReplication(t *testing.T) {
 }
 
 func TestHAPairNoFailoverWhenHealthy(t *testing.T) {
-	n, _, _, pair, _ := haTopo()
+	n, _, _, pair, _ := haTopo(t)
 	n.RunFor(5 * time.Second)
 	if pair.Failovers != 0 {
 		t.Errorf("failovers = %d on a healthy pair", pair.Failovers)
@@ -113,7 +113,7 @@ func TestHAPairNoFailoverWhenHealthy(t *testing.T) {
 }
 
 func TestHAPairBothDeadNoFlap(t *testing.T) {
-	n, _, _, pair, activeLink := haTopo()
+	n, _, _, pair, activeLink := haTopo(t)
 	// Kill both firewalls' border links.
 	activeLink.SetDown(true)
 	for _, l := range n.Links() {

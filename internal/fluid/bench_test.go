@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/units"
 )
 
@@ -32,9 +33,10 @@ func benchScenario(flows int) Scenario {
 func benchAllPacket(b *testing.B, flows int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		st := RunPacket(benchScenario(flows))
-		if len(st.AuditErrs) != 0 {
-			b.Fatalf("audit: %v", st.AuditErrs)
+		ctx := &harness.Ctx{}
+		st := RunPacket(ctx, benchScenario(flows))
+		if err := ctx.Audit(); err != nil {
+			b.Fatal(err)
 		}
 		b.ReportMetric(float64(st.Events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 	}
@@ -43,9 +45,10 @@ func benchAllPacket(b *testing.B, flows int) {
 func benchHybrid(b *testing.B, flows int) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		st, _ := RunHybrid(benchScenario(flows))
-		if len(st.AuditErrs) != 0 {
-			b.Fatalf("audit: %v", st.AuditErrs)
+		ctx := &harness.Ctx{}
+		st, _ := RunHybrid(ctx, benchScenario(flows))
+		if err := ctx.Audit(); err != nil {
+			b.Fatal(err)
 		}
 		b.ReportMetric(float64(st.Events)*float64(b.N)/b.Elapsed().Seconds(), "events/sec")
 	}
@@ -64,7 +67,7 @@ func BenchmarkHybrid100k(b *testing.B) { benchHybrid(b, 100_000) }
 // dmzvet hotpath contract on Engine.tick).
 func BenchmarkTick(b *testing.B) {
 	sc := benchScenario(100_000)
-	s := buildScenario(sc)
+	s := buildScenario(&harness.Ctx{}, "hybrid", sc)
 	eng := New(s.net, Config{})
 	for i := 0; i < 100; i++ {
 		c := s.clients[i%len(s.clients)]

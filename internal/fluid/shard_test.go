@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"testing"
 	"time"
-
-	"repro/internal/netsim"
 )
 
 // TestHybridShardInvariance: the fluid tick runs on the control
@@ -18,13 +16,9 @@ func TestHybridShardInvariance(t *testing.T) {
 	sc.Warmup = 0
 	sc.Duration = 2 * time.Second
 	run := func(shards int) string {
-		prev := netsim.DefaultShards
-		netsim.DefaultShards = shards
-		defer func() { netsim.DefaultShards = prev }()
-		st, eng := RunHybrid(sc)
-		if len(st.AuditErrs) != 0 {
-			t.Fatalf("shards=%d audit failed: %v", shards, st.AuditErrs)
-		}
+		ctx := runCtx(t)
+		ctx.Shards = shards
+		st, eng := RunHybrid(ctx, sc)
 		if ctl := eng.net.Sched.Processed; st.Events <= ctl {
 			t.Fatalf("shards=%d: %d events counts only the control scheduler's %d", shards, st.Events, ctl)
 		}

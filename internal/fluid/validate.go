@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"time"
 
+	"repro/internal/harness"
 	"repro/internal/netsim"
 	"repro/internal/tcp"
 	"repro/internal/units"
@@ -69,11 +70,10 @@ func DefaultTolerance() Tolerance {
 
 // ModeStats are the observables of one run (either mode).
 type ModeStats struct {
-	Elephant  units.BitRate  // elephant throughput (0 when no elephant)
-	BgBytes   units.ByteSize // background bytes delivered end to end
-	BgLoss    float64        // background loss fraction
-	Events    uint64         // scheduler events executed, control and shard schedulers summed
-	AuditErrs []string       // invariant-audit findings (must be empty)
+	Elephant units.BitRate  // elephant throughput (0 when no elephant)
+	BgBytes  units.ByteSize // background bytes delivered end to end
+	BgLoss   float64        // background loss fraction
+	Events   uint64         // scheduler events executed, control and shard schedulers summed
 }
 
 // Result is the paired comparison for one scenario.
@@ -86,13 +86,12 @@ type Result struct {
 	LossDiff      float64
 }
 
-// Pass reports whether the comparison is within tolerance and both
-// runs passed the invariant audit.
+// Pass reports whether the comparison is within tolerance.
 func (r Result) Pass(tol Tolerance) bool {
 	return len(r.Failures(tol)) == 0
 }
 
-// Failures returns one message per tolerance or audit violation.
+// Failures returns one message per tolerance violation.
 func (r Result) Failures(tol Tolerance) []string {
 	var out []string
 	if r.ElephantErr > tol.ElephantRel {
@@ -107,20 +106,15 @@ func (r Result) Failures(tol Tolerance) []string {
 		out = append(out, fmt.Sprintf("background loss disagrees by %.3f absolute (packet %.3f, hybrid %.3f, tol %.3f)",
 			r.LossDiff, r.Packet.BgLoss, r.Hybrid.BgLoss, tol.LossAbs))
 	}
-	for _, e := range r.Packet.AuditErrs {
-		out = append(out, "packet-mode audit: "+e)
-	}
-	for _, e := range r.Hybrid.AuditErrs {
-		out = append(out, "hybrid-mode audit: "+e)
-	}
 	return out
 }
 
-// Validate runs the scenario in both modes and compares.
-func Validate(sc Scenario) Result {
+// Validate runs the scenario in both modes and compares. Like RunPacket
+// and RunHybrid, it builds its networks through ctx.
+func Validate(ctx *harness.Ctx, sc Scenario) Result {
 	r := Result{Scenario: sc}
-	r.Packet = RunPacket(sc)
-	r.Hybrid, _ = RunHybrid(sc)
+	r.Packet = RunPacket(ctx, sc)
+	r.Hybrid, _ = RunHybrid(ctx, sc)
 	if sc.Elephant && r.Packet.Elephant > 0 {
 		r.ElephantErr = relErr(float64(r.Hybrid.Elephant), float64(r.Packet.Elephant))
 	}
@@ -189,8 +183,8 @@ type scenarioNet struct {
 	ephDst   *netsim.Host
 }
 
-func buildScenario(sc Scenario) *scenarioNet {
-	n := netsim.NewIsolated(sc.Seed)
+func buildScenario(ctx *harness.Ctx, mode string, sc Scenario) *scenarioNet {
+	n := ctx.Adopt(mode+"/"+sc.Name, netsim.New(sc.Seed))
 	s := &scenarioNet{net: n}
 	buf := sc.Buffer
 	if buf == 0 {
@@ -234,19 +228,11 @@ func eventsProcessed(n *netsim.Network) uint64 {
 	return total
 }
 
-func auditStrings(n *netsim.Network) []string {
-	var out []string
-	for _, err := range n.AuditInvariants() {
-		out = append(out, err.Error())
-	}
-	return out
-}
-
 // RunPacket runs the scenario with per-packet background mice
 // (flowgen.Business equivalent, inlined here to avoid an import cycle
-// with flowgen).
-func RunPacket(sc Scenario) ModeStats {
-	s := buildScenario(sc)
+// with flowgen) on a network ctx adopts.
+func RunPacket(ctx *harness.Ctx, sc Scenario) ModeStats {
+	s := buildScenario(ctx, "packet", sc)
 	meanSize := sc.MeanSize
 	if meanSize == 0 {
 		meanSize = 100 * units.KB
@@ -263,7 +249,7 @@ func RunPacket(sc Scenario) ModeStats {
 	ackedBase, dropBase := bg.acked, bg.dropped
 	s.net.RunFor(sc.Duration)
 
-	st := ModeStats{Events: eventsProcessed(s.net), AuditErrs: auditStrings(s.net)}
+	st := ModeStats{Events: eventsProcessed(s.net)}
 	if eph != nil {
 		st.Elephant = rateOver(eph.Stats().BytesAcked-ephBase, sc.Duration)
 	}
@@ -331,11 +317,11 @@ func (m *packetMice) next() {
 	})
 }
 
-// RunHybrid runs the scenario with the background as fluid aggregates.
-// The engine is returned so callers (experiments, benchmarks) can read
-// aggregate state after the run.
-func RunHybrid(sc Scenario) (ModeStats, *Engine) {
-	s := buildScenario(sc)
+// RunHybrid runs the scenario with the background as fluid aggregates,
+// on a network ctx adopts. The engine is returned so callers
+// (experiments, benchmarks) can read aggregate state after the run.
+func RunHybrid(ctx *harness.Ctx, sc Scenario) (ModeStats, *Engine) {
+	s := buildScenario(ctx, "hybrid", sc)
 	meanSize := sc.MeanSize
 	if meanSize == 0 {
 		meanSize = 100 * units.KB
@@ -374,7 +360,7 @@ func RunHybrid(sc Scenario) (ModeStats, *Engine) {
 	}
 	s.net.RunFor(sc.Duration)
 
-	st := ModeStats{Events: eventsProcessed(s.net), AuditErrs: auditStrings(s.net)}
+	st := ModeStats{Events: eventsProcessed(s.net)}
 	if eph != nil {
 		st.Elephant = rateOver(eph.Stats().BytesAcked-ephBase, sc.Duration)
 	}

@@ -1,13 +1,15 @@
-// Package harness is a deterministic parallel sweep engine for the
-// simulator: it fans independent simulation runs out over a worker pool
-// and guarantees that results are bit-identical at any parallelism
-// level.
+// Package harness holds a simulation run's context (Ctx) and a
+// deterministic parallel sweep engine: Sweep fans independent
+// simulation runs out over a worker pool and guarantees that results
+// are bit-identical at any parallelism level.
 //
 // Determinism rests on three rules:
 //
 //  1. Worker isolation. Every sweep point runs in its own goroutine with
-//     its own networks and schedulers (one sim.Scheduler per
-//     netsim.Network); nothing mutable is shared between points.
+//     its own Ctx, networks and schedulers (one sim.Scheduler per
+//     netsim.Network); nothing mutable is shared between points. A
+//     point's Ctx inherits the shard count but never the telemetry
+//     plane, which concurrent points would race on.
 //  2. Seed derivation. Random streams are never taken from a shared
 //     sequence, which would make them depend on execution order.
 //     Ctx.Seed hashes (campaign name, point key, stream name) with
@@ -15,14 +17,15 @@
 //  3. Ordered reduction. Results land in a slice indexed by point
 //     position, not in completion order; aggregation reads that slice.
 //
-// Every network a run builds through (or registers with) its Ctx is
-// audited after the run by the simulation invariant checker
-// (netsim.AuditInvariants): packet conservation, queue accounting, drop
-// bookkeeping agreement, and clock sanity. A sweep whose simulations
-// leak packets fails loudly, not statistically.
+// Every network a run adopts through its Ctx is audited after the run
+// by the simulation invariant checker (netsim.AuditInvariants): packet
+// conservation, queue accounting, drop bookkeeping agreement, and clock
+// sanity. A run whose simulations leak packets fails loudly, not
+// statistically.
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -30,6 +33,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // Point identifies one parameter combination in a sweep. Key must be
@@ -45,39 +49,6 @@ type KeyString string
 // Key implements Point.
 func (k KeyString) Key() string { return string(k) }
 
-// Config controls one sweep execution.
-type Config struct {
-	// Name is the campaign name, folded into every seed so distinct
-	// campaigns sample distinct random streams at identical points.
-	Name string
-
-	// Parallel is the worker count. Zero or negative uses GOMAXPROCS.
-	// Any value yields byte-identical results; it changes wall-clock
-	// time only.
-	Parallel int
-
-	// SkipInvariants disables the post-run invariant audit. Only raw
-	// kernel benchmarks should set it.
-	SkipInvariants bool
-}
-
-// Campaign groups related sweeps under one name with shared execution
-// settings; Sweep derives per-sweep Configs from it.
-type Campaign struct {
-	Name           string
-	Parallel       int
-	SkipInvariants bool
-}
-
-// Sweep returns the Config for a named sweep within the campaign.
-func (c Campaign) Sweep(name string) Config {
-	return Config{
-		Name:           c.Name + "/" + name,
-		Parallel:       c.Parallel,
-		SkipInvariants: c.SkipInvariants,
-	}
-}
-
 // Seed derives a deterministic 63-bit seed by FNV-1a hashing the given
 // parts with length framing (so ("ab","c") and ("a","bc") differ). The
 // derivation lives in sim.DeriveSeed so lower layers (the sharded
@@ -86,10 +57,24 @@ func Seed(parts ...string) int64 {
 	return sim.DeriveSeed(parts...)
 }
 
-// Ctx is a sweep point's execution context: the source of its random
-// seeds and the registry of networks to audit when the run finishes.
-// A Ctx must not be shared across points.
+// Ctx is a run's context: every setting a run's networks take from
+// outside the model. A binary or test builds the top-level Ctx from its
+// flags as a literal; Sweep builds one per point. The Ctx derives the
+// run's seeds, gives every network it adopts the shard count and the
+// telemetry plane, and audits those networks when the run ends. A Ctx
+// belongs to one goroutine.
 type Ctx struct {
+	// Shards is the shard count an adopted network's first run
+	// installs; below 1 means 1. It changes wall-clock time only.
+	Shards int
+
+	// Parallel is Sweep's worker count; zero or negative uses
+	// GOMAXPROCS. It changes wall-clock time only.
+	Parallel int
+
+	// Telemetry, when non-nil, is attached to every adopted network.
+	Telemetry *telemetry.Telemetry
+
 	campaign string
 	point    string
 	nets     []auditedNet
@@ -106,26 +91,50 @@ func (c *Ctx) Seed(stream string) int64 {
 	return Seed(c.campaign, c.point, stream)
 }
 
-// NewNetwork creates a network seeded for the named stream and registers
-// it for the post-run invariant audit. The network deliberately ignores
-// netsim.DefaultTelemetry — attaching concurrent worker networks to one
-// shared telemetry plane would race.
-func (c *Ctx) NewNetwork(stream string) *netsim.Network {
-	n := netsim.NewIsolated(c.Seed(stream))
-	c.Observe(stream, n)
+// Adopt makes n part of the run and returns it: it attaches the
+// telemetry plane, if there is one, sets the shard count n's first run
+// installs, and registers n under label for Audit. Adopt a network as
+// soon as it is built, before anything is dialed, meshed or scheduled
+// on it: the tcp, perfsonar and fault builders read the plane when
+// they run.
+func (c *Ctx) Adopt(label string, n *netsim.Network) *netsim.Network {
+	if c.Telemetry != nil {
+		n.AttachTelemetry(c.Telemetry)
+	}
+	n.SetShards(c.Shards)
+	c.nets = append(c.nets, auditedNet{label: label, net: n})
 	return n
 }
 
-// Observe registers an externally built network (e.g., from a topo
-// constructor) for the post-run invariant audit.
-func (c *Ctx) Observe(label string, n *netsim.Network) {
-	c.nets = append(c.nets, auditedNet{label: label, net: n})
+// NewNetwork creates and adopts a network seeded for the named stream.
+func (c *Ctx) NewNetwork(stream string) *netsim.Network {
+	return c.Adopt(stream, netsim.New(c.Seed(stream)))
+}
+
+// Audit checks the simulation invariants of every adopted network and
+// returns the violations joined into one error, or nil.
+func (c *Ctx) Audit() error {
+	var errs []error
+	for _, v := range c.violations() {
+		errs = append(errs, fmt.Errorf("%s: %w", v.Network, v.Err))
+	}
+	return errors.Join(errs...)
+}
+
+func (c *Ctx) violations() []Violation {
+	var out []Violation
+	for _, an := range c.nets {
+		for _, err := range an.net.AuditInvariants() {
+			out = append(out, Violation{Point: c.point, Network: an.label, Err: err})
+		}
+	}
+	return out
 }
 
 // Violation is one invariant failure found auditing a point's networks.
 type Violation struct {
 	Point   string // point key
-	Network string // Observe/NewNetwork label
+	Network string // Adopt/NewNetwork label
 	Err     error
 }
 
@@ -144,7 +153,7 @@ type Outcome[R any] struct {
 // Result collects a sweep's outcomes in point order — the same order at
 // any parallelism level.
 type Result[R any] struct {
-	Config   Config
+	Name     string // the sweep's campaign name
 	Outcomes []Outcome[R]
 }
 
@@ -163,10 +172,10 @@ func (r *Result[R]) Values() []R {
 func (r *Result[R]) Err() error {
 	for _, o := range r.Outcomes {
 		if o.Err != nil {
-			return fmt.Errorf("sweep %s point %s: %w", r.Config.Name, o.Key, o.Err)
+			return fmt.Errorf("sweep %s point %s: %w", r.Name, o.Key, o.Err)
 		}
 		if len(o.Violations) > 0 {
-			return fmt.Errorf("sweep %s point %s: invariant violated: %v", r.Config.Name, o.Key, o.Violations[0])
+			return fmt.Errorf("sweep %s point %s: invariant violated: %v", r.Name, o.Key, o.Violations[0])
 		}
 	}
 	return nil
@@ -181,25 +190,27 @@ func (r *Result[R]) Violations() []Violation {
 	return out
 }
 
-// Sweep runs fn once per point on a pool of cfg.Parallel workers and
-// returns the outcomes in point order. Each invocation gets a fresh Ctx;
-// after fn returns, every network registered on that Ctx is audited for
-// simulation invariants (unless cfg.SkipInvariants). Duplicate point
-// keys panic: they would alias random streams and labels.
-func Sweep[P Point, R any](cfg Config, points []P, fn func(ctx *Ctx, p P) (R, error)) *Result[R] {
+// Sweep runs fn once per point on ctx.Parallel workers and returns the
+// outcomes in point order. name is the campaign name, folded into every
+// point's seeds so distinct campaigns sample distinct random streams at
+// identical points. Each invocation gets a fresh Ctx with ctx's shard
+// count; after fn returns, every network adopted on it is audited.
+// Duplicate point keys panic: they would alias random streams and
+// labels.
+func Sweep[P Point, R any](ctx *Ctx, name string, points []P, fn func(ctx *Ctx, p P) (R, error)) *Result[R] {
 	seen := make(map[string]bool, len(points))
 	for _, p := range points {
 		if seen[p.Key()] {
-			panic(fmt.Sprintf("harness: duplicate sweep point key %q in %q", p.Key(), cfg.Name))
+			panic(fmt.Sprintf("harness: duplicate sweep point key %q in %q", p.Key(), name))
 		}
 		seen[p.Key()] = true
 	}
 
 	res := &Result[R]{
-		Config:   cfg,
+		Name:     name,
 		Outcomes: make([]Outcome[R], len(points)),
 	}
-	workers := cfg.Parallel
+	workers := ctx.Parallel
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -218,7 +229,8 @@ func Sweep[P Point, R any](cfg Config, points []P, fn func(ctx *Ctx, p P) (R, er
 				if i >= len(points) {
 					return
 				}
-				res.Outcomes[i] = runPoint(cfg, points[i], fn)
+				pctx := &Ctx{Shards: ctx.Shards, campaign: name, point: points[i].Key()}
+				res.Outcomes[i] = runPoint(pctx, points[i], fn)
 			}
 		}()
 	}
@@ -226,21 +238,9 @@ func Sweep[P Point, R any](cfg Config, points []P, fn func(ctx *Ctx, p P) (R, er
 	return res
 }
 
-func runPoint[P Point, R any](cfg Config, p P, fn func(ctx *Ctx, p P) (R, error)) Outcome[R] {
-	ctx := &Ctx{campaign: cfg.Name, point: p.Key()}
+func runPoint[P Point, R any](ctx *Ctx, p P, fn func(ctx *Ctx, p P) (R, error)) Outcome[R] {
 	out := Outcome[R]{Key: p.Key()}
 	out.Value, out.Err = fn(ctx, p)
-	if cfg.SkipInvariants {
-		return out
-	}
-	for _, an := range ctx.nets {
-		for _, err := range an.net.AuditInvariants() {
-			out.Violations = append(out.Violations, Violation{
-				Point:   p.Key(),
-				Network: an.label,
-				Err:     err,
-			})
-		}
-	}
+	out.Violations = ctx.violations()
 	return out
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/netsim"
 	"repro/internal/tcp"
+	"repro/internal/telemetry"
 	"repro/internal/topo"
 	"repro/internal/units"
 )
@@ -80,11 +81,9 @@ func render(r *Result[units.BitRate]) string {
 }
 
 func TestSweepDeterministicAcrossParallelism(t *testing.T) {
-	cfg := Config{Name: "harness-test/loss"}
 	var outs []string
 	for _, par := range []int{1, 8} {
-		cfg.Parallel = par
-		r := Sweep(cfg, sweepPoints(), measure)
+		r := Sweep(&Ctx{Parallel: par}, "harness-test/loss", sweepPoints(), measure)
 		if err := r.Err(); err != nil {
 			t.Fatalf("parallel=%d: %v", par, err)
 		}
@@ -94,7 +93,7 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 		t.Errorf("results differ between -parallel 1 and -parallel 8:\n%s\nvs\n%s", outs[0], outs[1])
 	}
 	// Sanity: the sweep measured something, and loss hurts throughput.
-	r := Sweep(cfg, sweepPoints(), measure)
+	r := Sweep(&Ctx{}, "harness-test/loss", sweepPoints(), measure)
 	vals := r.Values()
 	if vals[0] < 10*units.Mbps {
 		t.Errorf("clean point only reached %v", vals[0])
@@ -110,7 +109,7 @@ func TestSweepRunsEveryPointOnceInOrder(t *testing.T) {
 	for i := range points {
 		points[i] = KeyString(fmt.Sprintf("p%03d", i))
 	}
-	r := Sweep(Config{Name: "order", Parallel: 8}, points,
+	r := Sweep(&Ctx{Parallel: 8}, "order", points,
 		func(ctx *Ctx, p KeyString) (string, error) {
 			calls.Add(1)
 			return string(p), nil
@@ -127,7 +126,7 @@ func TestSweepRunsEveryPointOnceInOrder(t *testing.T) {
 
 func TestSweepPropagatesRunErrors(t *testing.T) {
 	boom := errors.New("boom")
-	r := Sweep(Config{Name: "errs", Parallel: 2}, []KeyString{"ok", "bad"},
+	r := Sweep(&Ctx{Parallel: 2}, "errs", []KeyString{"ok", "bad"},
 		func(ctx *Ctx, p KeyString) (int, error) {
 			if p == "bad" {
 				return 0, boom
@@ -145,7 +144,7 @@ func TestSweepRejectsDuplicateKeys(t *testing.T) {
 			t.Fatal("duplicate keys did not panic")
 		}
 	}()
-	Sweep(Config{Name: "dup"}, []KeyString{"x", "x"},
+	Sweep(&Ctx{}, "dup", []KeyString{"x", "x"},
 		func(ctx *Ctx, p KeyString) (int, error) { return 0, nil })
 }
 
@@ -183,7 +182,7 @@ func TestInvariantsCleanThroughFirewall(t *testing.T) {
 	// visible to the conservation ledger.
 	ctx := &Ctx{campaign: "aud", point: "campus"}
 	c := topo.NewCampus(ctx.Seed("campus"), topo.CampusConfig{})
-	ctx.Observe("campus", c.Net)
+	ctx.Adopt("campus", c.Net)
 	var st *tcp.Stats
 	srv := tcp.NewServer(c.ScienceHost.Host, 5001, c.ScienceHost.Tuning)
 	tcp.Dial(c.RemoteDTN.Host, srv, 5*units.MB, c.RemoteDTN.Tuning, func(s *tcp.Stats) { st = s })
@@ -191,8 +190,8 @@ func TestInvariantsCleanThroughFirewall(t *testing.T) {
 	if st == nil {
 		t.Fatal("transfer did not complete")
 	}
-	if errs := c.Net.AuditInvariants(); len(errs) != 0 {
-		t.Fatalf("campus run violated invariants: %v", errs)
+	if err := ctx.Audit(); err != nil {
+		t.Fatalf("campus run violated invariants: %v", err)
 	}
 	if c.Net.Conservation().Injected == 0 {
 		t.Fatal("no packets accounted")
@@ -210,26 +209,63 @@ func TestInvariantsCatchTampering(t *testing.T) {
 	tcp.Dial(c, srv, 100*units.KB, tcp.Tuned(), nil)
 	n.RunFor(time.Second)
 
+	if err := ctx.Audit(); err != nil {
+		t.Fatalf("untampered run violated invariants: %v", err)
+	}
 	// A phantom drop-site entry breaks drop agreement and (by
 	// construction) nothing else — exactly one class of error.
 	n.DropStats[netsim.DropSite{Node: "phantom"}] += 3
-	errs := n.AuditInvariants()
-	if len(errs) == 0 {
+	err := ctx.Audit()
+	if err == nil {
 		t.Fatal("tampered drop accounting not detected")
 	}
-	found := false
-	for _, e := range errs {
-		if strings.Contains(e.Error(), "drop accounting disagrees") {
-			found = true
-		}
+	if !strings.Contains(err.Error(), "net: ") || !strings.Contains(err.Error(), "drop accounting disagrees") {
+		t.Fatalf("expected a drop-agreement violation on net, got %v", err)
 	}
-	if !found {
-		t.Fatalf("expected drop-agreement violation, got %v", errs)
+}
+
+// TestAdoptCarriesRunSettings: an adopted network gets the context's
+// telemetry plane at once and its shard count at the first run; a sweep
+// point's context inherits the shard count but not the plane.
+func TestAdoptCarriesRunSettings(t *testing.T) {
+	build := func(n *netsim.Network) *netsim.Network {
+		a := n.NewDevice("a", netsim.DeviceConfig{})
+		b := n.NewDevice("b", netsim.DeviceConfig{})
+		n.Connect(a, b, netsim.LinkConfig{Rate: units.Gbps, Delay: time.Millisecond}).MarkCut()
+		n.ComputeRoutes()
+		return n
+	}
+	tele := telemetry.New()
+	ctx := &Ctx{Shards: 2, Telemetry: tele}
+	n := build(ctx.Adopt("net", netsim.New(1)))
+	if n.Telemetry() != tele {
+		t.Fatal("Adopt did not attach the context's telemetry")
+	}
+	if got := len(n.ShardSchedulers()); got != 0 {
+		t.Fatalf("Adopt installed %d shards before the first run", got)
+	}
+	n.RunFor(time.Millisecond)
+	if got := len(n.ShardSchedulers()); got != 2 {
+		t.Fatalf("first run installed %d shards, want 2", got)
+	}
+	r := Sweep(ctx, "settings", []KeyString{"p"}, func(pctx *Ctx, p KeyString) (int, error) {
+		pn := build(pctx.NewNetwork("net"))
+		pn.RunFor(time.Millisecond)
+		if pn.Telemetry() != nil {
+			return 0, errors.New("sweep point inherited the telemetry plane")
+		}
+		return len(pn.ShardSchedulers()), nil
+	})
+	if err := r.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Values()[0]; got != 2 {
+		t.Fatalf("sweep point ran on %d shards, want 2", got)
 	}
 }
 
 func TestSweepReportsViolations(t *testing.T) {
-	r := Sweep(Config{Name: "viol"}, []KeyString{"p"},
+	r := Sweep(&Ctx{}, "viol", []KeyString{"p"},
 		func(ctx *Ctx, p KeyString) (int, error) {
 			n := ctx.NewNetwork("net")
 			h := n.NewHost("h")
@@ -249,15 +285,5 @@ func TestSweepReportsViolations(t *testing.T) {
 	}
 	if r.Err() == nil {
 		t.Fatal("Err() nil despite violation")
-	}
-	// SkipInvariants suppresses the audit.
-	r2 := Sweep(Config{Name: "viol", SkipInvariants: true}, []KeyString{"p"},
-		func(ctx *Ctx, p KeyString) (int, error) {
-			n := ctx.NewNetwork("net")
-			n.DropStats[netsim.DropSite{Node: "phantom"}]++
-			return 0, nil
-		})
-	if r2.Err() != nil {
-		t.Fatalf("SkipInvariants still audited: %v", r2.Err())
 	}
 }

@@ -14,13 +14,6 @@ import (
 // maxTime is the "no bound" sentinel for window sizing.
 const maxTime = sim.Time(math.MaxInt64)
 
-// DefaultShards is the shard count a network's first Run or RunFor
-// installs when no plan was installed explicitly. Command-line tools
-// set it from their -shards flag to reach networks that experiment code
-// constructs internally. Values below 1 mean 1. The count changes
-// wall-clock time only, never output.
-var DefaultShards = 1
-
 // Engine is the conservative barrier-window run loop every Network runs
 // on: the network is partitioned into domains at its cut links (see
 // Partition), the domains are spread over one or more shard
@@ -111,8 +104,8 @@ func (c *capture) take() []telemetry.Event {
 // the domain count and floored at one; the cap changes wall-clock
 // layout only, never results.
 //
-// Run and RunFor install DefaultShards on first use, so call this only
-// to choose the count for one network, before it first runs. It fails
+// Run and RunFor install the SetShards count on first use, so call
+// this only to install a plan before the network first runs. It fails
 // once a plan is in place.
 func (n *Network) InstallShards(k int) (*Engine, error) {
 	if n.engine != nil {
@@ -121,11 +114,17 @@ func (n *Network) InstallShards(k int) (*Engine, error) {
 	return n.install(k), nil
 }
 
-// engineToRun returns the network's engine, installing DefaultShards
-// shards on first use.
+// SetShards sets the shard count the network's first Run or RunFor
+// installs; values below 1 mean 1, the default. The count changes
+// wall-clock time only, never output. Nodes added until that first run
+// join its partition.
+func (n *Network) SetShards(k int) { n.shards = k }
+
+// engineToRun returns the network's engine, installing the SetShards
+// count on first use.
 func (n *Network) engineToRun() *Engine {
 	if n.engine == nil {
-		n.install(DefaultShards)
+		n.install(n.shards)
 	}
 	return n.engine
 }

@@ -78,35 +78,27 @@ type Network struct {
 	// hold it until the engine installs its partition.
 	ctl    *shardCtx
 	engine *Engine // nil until the first run or InstallShards
+	shards int     // the count the first run installs; see SetShards
 
 	// Telemetry wiring. bus is nil until AttachTelemetry; all emit
 	// sites guard with bus.Enabled(), which is nil-receiver-safe, so a
 	// network without telemetry pays one branch per would-be event.
-	tele    *telemetry.Telemetry
-	bus     *telemetry.Bus
-	sampler *telemetry.Sampler
+	tele *telemetry.Telemetry
+	bus  *telemetry.Bus
+
+	// collectors are registered on every plane AttachTelemetry
+	// attaches; see RegisterCollector.
+	collectors []keyedCollector
 }
 
-// DefaultTelemetry, when non-nil, is attached to every Network created
-// by New. Command-line tools set it to thread --trace/--metrics through
-// experiment code that constructs its own networks internally.
-var DefaultTelemetry *telemetry.Telemetry
+type keyedCollector struct {
+	key string
+	fn  telemetry.Collector
+}
 
 // New creates an empty network whose random streams are rooted in seed
-// (see Stream).
+// (see Stream). It has no telemetry until AttachTelemetry.
 func New(seed int64) *Network {
-	n := NewIsolated(seed)
-	if DefaultTelemetry != nil {
-		n.AttachTelemetry(DefaultTelemetry)
-	}
-	return n
-}
-
-// NewIsolated creates a network that ignores DefaultTelemetry. Parallel
-// sweep workers (internal/harness) use it: a process-global telemetry
-// plane is shared mutable state, and concurrently attaching worker
-// networks to it would race.
-func NewIsolated(seed int64) *Network {
 	n := &Network{
 		Sched:     sim.New(),
 		seed:      seed,
@@ -121,21 +113,37 @@ func NewIsolated(seed int64) *Network {
 // AttachTelemetry wires the network into a telemetry plane: trace
 // events flow to t.Bus, the network's state becomes visible to
 // registry snapshots via a collector, the schedulers are instrumented,
+// collectors registered while no plane was attached join the registry,
 // and — when t.SampleInterval is set — a sampler starts on this
 // network's control scheduler.
 //
 // Attaching a later network to the same Telemetry supersedes the
 // earlier one's scheduler gauges and state collector (keyed
 // registration), which is what sequential experiment runs want. Attach
-// before the first run, so the engine captures trace events for its
-// canonical merge.
+// before anything is dialed or scheduled: the tcp, perfsonar and fault
+// builders read the plane when they run, and the first run's install
+// captures trace events for the canonical merge only if it is there.
 func (n *Network) AttachTelemetry(t *telemetry.Telemetry) {
 	n.tele = t
 	n.bus = t.Bus
 	telemetry.InstrumentScheduler(t.Registry, n.Schedulers)
 	t.Registry.RegisterCollector("netsim", n.collectMetrics)
+	for _, c := range n.collectors {
+		t.Registry.RegisterCollector(c.key, c.fn)
+	}
 	if t.SampleInterval > 0 {
-		n.sampler = t.StartSampler(n.Sched, t.SampleInterval)
+		t.StartSampler(n.Sched, t.SampleInterval)
+	}
+}
+
+// RegisterCollector adds fn to the registry snapshots of the network's
+// telemetry plane under key: at once when a plane is attached, else
+// when AttachTelemetry attaches one. Components built before the plane
+// (a topology's content cache) register through it.
+func (n *Network) RegisterCollector(key string, fn telemetry.Collector) {
+	n.collectors = append(n.collectors, keyedCollector{key, fn})
+	if n.tele != nil {
+		n.tele.Registry.RegisterCollector(key, fn)
 	}
 }
 
@@ -145,10 +153,6 @@ func (n *Network) Telemetry() *telemetry.Telemetry { return n.tele }
 // TelemetryBus returns the attached trace bus. The result may be nil;
 // all Bus methods are nil-safe, so callers may use it unconditionally.
 func (n *Network) TelemetryBus() *telemetry.Bus { return n.ctl.tracebus(n) }
-
-// TelemetrySampler returns the registry sampler running on this
-// network's scheduler, or nil when none was started.
-func (n *Network) TelemetrySampler() *telemetry.Sampler { return n.sampler }
 
 // collectMetrics exposes per-port counters, live queue state, device
 // forwarding counts, link wire drops, and structured drop tallies to

@@ -15,7 +15,7 @@ import (
 // expire once the queue fits the new capacity again, so a later real
 // violation is still caught.
 func TestAuditQueueCapShrinkMidRun(t *testing.T) {
-	n := NewIsolated(1)
+	n := New(1)
 	a := n.NewHost("a")
 	b := n.NewHost("b")
 	// Slow link: 1500 B takes 12 ms to serialize, so a burst parks a

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dtn"
 	"repro/internal/experiments"
+	"repro/internal/harness"
 	"repro/internal/netsim"
 	"repro/internal/topo"
 	"repro/internal/units"
@@ -57,13 +58,12 @@ func BenchmarkFig1Sharded(b *testing.B) {
 	cfg := experiments.Fig1Config{
 		RTTs:     []time.Duration{4 * time.Millisecond, 20 * time.Millisecond},
 		Duration: 2 * time.Second,
-		Parallel: 1,
 	}
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				withPlan(shards, func() { experiments.Fig1(cfg) })
+				experiments.Fig1(&harness.Ctx{Shards: shards, Parallel: 1}, cfg)
 			}
 		})
 	}
@@ -78,7 +78,7 @@ func BenchmarkEngineWindow(b *testing.B) {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				n := netsim.NewIsolated(3)
+				n := netsim.New(3)
 				a := n.NewHost("a")
 				z := n.NewHost("z")
 				n.Connect(a, z, netsim.LinkConfig{

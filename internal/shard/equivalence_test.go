@@ -11,6 +11,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/fluid"
+	"repro/internal/harness"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -30,15 +31,16 @@ import (
 // equivalenceCounts are the shard counts every scenario must agree on.
 var equivalenceCounts = []int{1, 2, 4}
 
-// withPlan runs fn with n as the process-default shard count,
-// restoring the previous default afterwards. The suite relies on the
-// package's tests running sequentially (no t.Parallel) because the
-// default is process-global — exactly how the -shards flag works.
-func withPlan(n int, fn func()) {
-	prev := netsim.DefaultShards
-	netsim.DefaultShards = n
-	defer func() { netsim.DefaultShards = prev }()
-	fn()
+// runCtx returns a run context at the given shard count whose networks
+// are audited when the test ends.
+func runCtx(t *testing.T, shards int) *harness.Ctx {
+	ctx := &harness.Ctx{Shards: shards}
+	t.Cleanup(func() {
+		if err := ctx.Audit(); err != nil {
+			t.Errorf("shards=%d: %v", shards, err)
+		}
+	})
+	return ctx
 }
 
 // requireAllEqual asserts every shard count produced the same string,
@@ -97,11 +99,10 @@ func TestEquivalenceFig1(t *testing.T) {
 	cfg := experiments.Fig1Config{
 		RTTs:     []time.Duration{4 * time.Millisecond, 20 * time.Millisecond},
 		Duration: 2 * time.Second,
-		Parallel: 1,
 	}
 	got := make(map[int]string)
 	for _, n := range equivalenceCounts {
-		withPlan(n, func() { got[n] = experiments.Fig1(cfg).Render() })
+		got[n] = experiments.Fig1(&harness.Ctx{Shards: n, Parallel: 1}, cfg).Render()
 	}
 	requireAllEqual(t, "Fig1 render", got)
 }
@@ -115,17 +116,15 @@ func TestEquivalenceSweep(t *testing.T) {
 	}
 	cfg := experiments.SweepConfig{
 		Axis: "loss", Min: 1e-5, Max: 1e-3, Points: 3,
-		Duration: time.Second, Parallel: 1,
+		Duration: time.Second,
 	}
 	got := make(map[int]string)
 	for _, n := range equivalenceCounts {
-		withPlan(n, func() {
-			res, err := experiments.RunSweep(cfg)
-			if err != nil {
-				t.Fatalf("shards=%d: %v", n, err)
-			}
-			got[n] = res.Render()
-		})
+		res, err := experiments.RunSweep(&harness.Ctx{Shards: n, Parallel: 1}, cfg)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", n, err)
+		}
+		got[n] = res.Render()
 	}
 	requireAllEqual(t, "sweep render", got)
 }
@@ -147,13 +146,11 @@ func TestEquivalenceFaultScenario(t *testing.T) {
 	}
 	got := make(map[int]string)
 	for _, n := range equivalenceCounts {
-		withPlan(n, func() {
-			rep, err := fault.Run(sc)
-			if err != nil {
-				t.Fatalf("shards=%d: %v", n, err)
-			}
-			got[n] = rep.Render()
-		})
+		rep, err := fault.Run(runCtx(t, n), sc)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", n, err)
+		}
+		got[n] = rep.Render()
 	}
 	requireAllEqual(t, "fault report", got)
 }
@@ -171,35 +168,29 @@ type traceRun struct {
 func captureRun(t *testing.T, shards int) traceRun {
 	t.Helper()
 	var out traceRun
-	withPlan(shards, func() {
-		tele := telemetry.New()
-		prev := netsim.DefaultTelemetry
-		netsim.DefaultTelemetry = tele
-		defer func() { netsim.DefaultTelemetry = prev }()
-		tele.Bus.Subscribe(func(ev *telemetry.Event) {
-			out.events = append(out.events, *ev)
-		})
-
-		d := topo.NewSimpleDMZ(7, topo.SimpleDMZConfig{})
-		var res *dtn.Result
-		dtn.GridFTP{Streams: 4}.Start(d.RemoteDTN, d.DTN, 64*units.MB,
-			func(r *dtn.Result) { res = r })
-		d.Net.RunFor(3 * time.Second)
-
-		for _, err := range d.Net.AuditInvariants() {
-			t.Errorf("shards=%d: audit: %v", shards, err)
-		}
-		out.ledger = d.Net.Conservation()
-		snap := tele.Registry.Snapshot(d.Net.Sched.Now())
-		for _, s := range snap.Samples {
-			// Partition-dependent diagnostics are excluded from golden
-			// metrics by construction; everything exported must match.
-			out.metrics += fmt.Sprintf("%s%v=%v\n", s.Name, s.Labels, s.Value)
-		}
-		if res != nil {
-			out.result = fmt.Sprintf("%v in %v", res.Size, res.Duration())
-		}
+	ctx := runCtx(t, shards)
+	ctx.Telemetry = telemetry.New()
+	ctx.Telemetry.Bus.Subscribe(func(ev *telemetry.Event) {
+		out.events = append(out.events, *ev)
 	})
+
+	d := topo.NewSimpleDMZ(7, topo.SimpleDMZConfig{})
+	ctx.Adopt("dmz", d.Net)
+	var res *dtn.Result
+	dtn.GridFTP{Streams: 4}.Start(d.RemoteDTN, d.DTN, 64*units.MB,
+		func(r *dtn.Result) { res = r })
+	d.Net.RunFor(3 * time.Second)
+
+	out.ledger = d.Net.Conservation()
+	snap := ctx.Telemetry.Registry.Snapshot(d.Net.Sched.Now())
+	for _, s := range snap.Samples {
+		// Partition-dependent diagnostics are excluded from golden
+		// metrics by construction; everything exported must match.
+		out.metrics += fmt.Sprintf("%s%v=%v\n", s.Name, s.Labels, s.Value)
+	}
+	if res != nil {
+		out.result = fmt.Sprintf("%v in %v", res.Size, res.Duration())
+	}
 	return out
 }
 
@@ -272,47 +263,43 @@ func TestEquivalenceLossyCutDrops(t *testing.T) {
 		sites := make(map[int]string)
 		lost := make(map[int]string)
 		for _, n := range equivalenceCounts {
-			withPlan(n, func() {
-				d := topo.NewSimpleDMZ(seed, topo.SimpleDMZConfig{
-					WAN: topo.WANConfig{Loss: netsim.RandomLoss{P: 0.01}},
-				})
-				// The hook runs under the network's drop lock, so shards
-				// append one at a time.
-				var drops []wireDrop
-				d.Net.DropHook = func(pkt *netsim.Packet, site netsim.DropSite) {
-					if site.Reason == netsim.DropWireLoss {
-						drops = append(drops, wireDrop{pkt.SentAt, pkt.ID})
-					}
-				}
-				ftp := dtn.GridFTP{Streams: 4}
-				ftp.Start(d.RemoteDTN, d.DTN, units.GB, nil)
-				ftp.Start(d.DTN, d.RemoteDTN, units.GB, nil)
-				d.Net.RunFor(3 * time.Second)
-
-				for _, err := range d.Net.AuditInvariants() {
-					t.Errorf("seed %d shards=%d: audit: %v", seed, n, err)
-				}
-				var linkSum, siteSum uint64
-				for _, l := range d.Net.Links() {
-					linkSum += l.WireDrops()
-					a, b := l.Ends()
-					wire[n] += fmt.Sprintf("%s<->%s %d\n", a, b, l.WireDrops())
-				}
-				for _, sc := range d.Net.DropSites() {
-					if sc.Site.Reason == netsim.DropWireLoss {
-						siteSum += sc.Count
-					}
-					sites[n] += fmt.Sprintf("%v %d\n", sc.Site, sc.Count)
-				}
-				if linkSum == 0 || linkSum != siteSum || uint64(len(drops)) != siteSum {
-					t.Errorf("seed %d shards=%d: links' wire drops sum to %d, wire-loss sites to %d, the hook saw %d",
-						seed, n, linkSum, siteSum, len(drops))
-				}
-				sort.Slice(drops, func(i, j int) bool { return drops[i].less(drops[j]) })
-				for _, w := range drops {
-					lost[n] += fmt.Sprintf("%d %d\n", w.at, w.id)
-				}
+			d := topo.NewSimpleDMZ(seed, topo.SimpleDMZConfig{
+				WAN: topo.WANConfig{Loss: netsim.RandomLoss{P: 0.01}},
 			})
+			runCtx(t, n).Adopt(fmt.Sprintf("seed %d", seed), d.Net)
+			// The hook runs under the network's drop lock, so shards
+			// append one at a time.
+			var drops []wireDrop
+			d.Net.DropHook = func(pkt *netsim.Packet, site netsim.DropSite) {
+				if site.Reason == netsim.DropWireLoss {
+					drops = append(drops, wireDrop{pkt.SentAt, pkt.ID})
+				}
+			}
+			ftp := dtn.GridFTP{Streams: 4}
+			ftp.Start(d.RemoteDTN, d.DTN, units.GB, nil)
+			ftp.Start(d.DTN, d.RemoteDTN, units.GB, nil)
+			d.Net.RunFor(3 * time.Second)
+
+			var linkSum, siteSum uint64
+			for _, l := range d.Net.Links() {
+				linkSum += l.WireDrops()
+				a, b := l.Ends()
+				wire[n] += fmt.Sprintf("%s<->%s %d\n", a, b, l.WireDrops())
+			}
+			for _, sc := range d.Net.DropSites() {
+				if sc.Site.Reason == netsim.DropWireLoss {
+					siteSum += sc.Count
+				}
+				sites[n] += fmt.Sprintf("%v %d\n", sc.Site, sc.Count)
+			}
+			if linkSum == 0 || linkSum != siteSum || uint64(len(drops)) != siteSum {
+				t.Errorf("seed %d shards=%d: links' wire drops sum to %d, wire-loss sites to %d, the hook saw %d",
+					seed, n, linkSum, siteSum, len(drops))
+			}
+			sort.Slice(drops, func(i, j int) bool { return drops[i].less(drops[j]) })
+			for _, w := range drops {
+				lost[n] += fmt.Sprintf("%d %d\n", w.at, w.id)
+			}
 		}
 		requireAllEqual(t, fmt.Sprintf("seed %d per-link wire drops", seed), wire)
 		requireAllEqual(t, fmt.Sprintf("seed %d drop sites", seed), sites)
@@ -358,23 +345,19 @@ func TestEquivalenceFluidSeedReplicates(t *testing.T) {
 	for _, seed := range seeds {
 		got := make(map[int]string)
 		for _, n := range equivalenceCounts {
-			withPlan(n, func() {
-				d := topo.NewSimpleDMZ(seed, topo.SimpleDMZConfig{})
-				eng := fluid.New(d.Net, fluid.Config{})
-				agg, err := eng.Add(fluid.AggregateConfig{
-					Name: "bursty", Src: d.RemoteDTN.Host.Name(), Dst: d.DTN.Host.Name(),
-					FlowsPerSecond: 2000, Burstiness: 0.5,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				eng.Start()
-				d.Net.RunFor(2 * time.Second)
-				for _, err := range d.Net.AuditInvariants() {
-					t.Errorf("seed %d shards=%d: audit: %v", seed, n, err)
-				}
-				got[n] = fmt.Sprintf("delivered=%d\n", agg.DeliveredBytes())
+			d := topo.NewSimpleDMZ(seed, topo.SimpleDMZConfig{})
+			runCtx(t, n).Adopt(fmt.Sprintf("seed %d", seed), d.Net)
+			eng := fluid.New(d.Net, fluid.Config{})
+			agg, err := eng.Add(fluid.AggregateConfig{
+				Name: "bursty", Src: d.RemoteDTN.Host.Name(), Dst: d.DTN.Host.Name(),
+				FlowsPerSecond: 2000, Burstiness: 0.5,
 			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng.Start()
+			d.Net.RunFor(2 * time.Second)
+			got[n] = fmt.Sprintf("delivered=%d\n", agg.DeliveredBytes())
 		}
 		requireAllEqual(t, fmt.Sprintf("seed %d fluid delivered bytes", seed), got)
 		delivered[seed] = got[1]

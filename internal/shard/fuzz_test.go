@@ -36,7 +36,7 @@ func FuzzPartition(f *testing.F) {
 			return
 		}
 		nn := 1 + int(data[0])%8
-		n := netsim.NewIsolated(1)
+		n := runCtx(t, 1).Adopt("fuzz", netsim.New(1))
 		nodes := make([]netsim.Node, nn)
 		for i := 0; i < nn; i++ {
 			name := string(rune('a' + i))

@@ -2,9 +2,11 @@
 // simulator's own packages. The engine itself — partition, cross-shard
 // outboxes, barrier-window run loop — lives in internal/netsim, since every
 // netsim.Network runs on it; DESIGN.md, "Sharded execution", describes
-// it. The benchmark program (benchmark/) installs its shard counts
-// through Install and reads Engine.Windows, so both stay here as a
-// stable entry point. The package's tests are the cross-shard
+// it. Binaries, experiments and tests set a network's shard count
+// through the run context (harness.Ctx.Shards); the benchmark program
+// (benchmark/) builds its networks without one, installs its shard
+// counts through Install and reads Engine.Windows, so both stay here as
+// a stable entry point. The package's tests are the cross-shard
 // equivalence, property and metamorphic suites.
 package shard
 

@@ -21,7 +21,6 @@ var (
 type Sender struct {
 	Cwnd float64 // congestion window, bytes
 
-	net    *netsim.Network
 	host   *netsim.Host
 	flow   netsim.FlowKey
 	mss    int
@@ -118,7 +117,6 @@ func newSender(net *netsim.Network, host *netsim.Host, flow netsim.FlowKey,
 		total = -1
 	}
 	s := &Sender{
-		net:    net,
 		host:   host,
 		flow:   flow,
 		mss:    mss,
@@ -244,31 +242,9 @@ func (s *Sender) InFlight() units.ByteSize { return units.ByteSize(s.sndNxt - s.
 // TraceThroughput samples goodput (bytes acknowledged per interval,
 // expressed in bits/s) into the returned series, until the connection
 // completes — the per-flow utilization series behind Figure 8.
-//
-// When the network has a telemetry sampler running, samples ride that
-// sampler instead of a private ticker — so goodput traces and metric
-// snapshots share one timebase — and the interval argument is ignored
-// in favour of the sampler's.
 func (s *Sender) TraceThroughput(interval time.Duration) *Series {
 	tr := &Series{}
 	last := s.stats.BytesAcked
-	if sam := s.net.TelemetrySampler(); sam != nil {
-		lastAt := s.sched().Now()
-		sam.OnSample(func(snap *telemetry.Snapshot) {
-			if s.done {
-				return
-			}
-			dt := snap.At.Sub(lastAt).Seconds()
-			if dt <= 0 {
-				return
-			}
-			delta := s.stats.BytesAcked - last
-			last = s.stats.BytesAcked
-			lastAt = snap.At
-			tr.Add(snap.At, float64(delta)*8/dt)
-		})
-		return tr
-	}
 	var tick *sim.Ticker
 	tick = s.sched().EveryTag(tagTrace, interval, func() {
 		if s.done {
@@ -283,20 +259,9 @@ func (s *Sender) TraceThroughput(interval time.Duration) *Series {
 }
 
 // TraceCwnd samples the congestion window every interval into the
-// returned series, until the connection completes. As with
-// TraceThroughput, a running telemetry sampler takes over the timebase
-// and the interval argument is ignored.
+// returned series, until the connection completes.
 func (s *Sender) TraceCwnd(interval time.Duration) *Series {
 	s.cwndTrace = &Series{}
-	if sam := s.net.TelemetrySampler(); sam != nil {
-		tr := s.cwndTrace
-		sam.OnSample(func(snap *telemetry.Snapshot) {
-			if !s.done {
-				tr.Add(snap.At, s.Cwnd)
-			}
-		})
-		return tr
-	}
 	var tick *sim.Ticker
 	tick = s.sched().EveryTag(tagTrace, interval, func() {
 		if s.done {

@@ -165,8 +165,8 @@ func TestSamplerOnSimClock(t *testing.T) {
 	tele := New()
 	g := tele.Registry.Gauge("v", nil)
 	var seen []sim.Time
+	tele.OnSample(func(s *Snapshot) { seen = append(seen, s.At) })
 	sam := tele.StartSampler(sched, time.Second)
-	sam.OnSample(func(s *Snapshot) { seen = append(seen, s.At) })
 	sched.After(1500*time.Millisecond, func() { g.Set(1) })
 	sched.RunFor(3500 * time.Millisecond)
 	if len(tele.Snapshots) != 3 {

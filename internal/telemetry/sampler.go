@@ -11,47 +11,30 @@ var tagSampler = sim.TagFor("telemetry")
 
 // Sampler snapshots a registry periodically on the simulation clock.
 // Because it is driven by the sim.Scheduler — never the wall clock —
-// sampled runs remain bit-for-bit reproducible, and everything sampled
-// through it (metric snapshots, cwnd/goodput series adapters) shares
-// one timebase.
+// sampled runs remain bit-for-bit reproducible. It only reads: nothing
+// the simulated network does depends on whether or how often it
+// samples.
 type Sampler struct {
-	tele  *Telemetry
-	sched *sim.Scheduler
-
-	interval time.Duration
-	ticker   *sim.Ticker
-	onSample []func(*Snapshot)
+	tele   *Telemetry
+	sched  *sim.Scheduler
+	ticker *sim.Ticker
 }
 
 func newSampler(t *Telemetry, sched *sim.Scheduler, interval time.Duration) *Sampler {
 	if interval <= 0 {
 		panic("telemetry: sampler interval must be positive")
 	}
-	s := &Sampler{tele: t, sched: sched, interval: interval}
+	s := &Sampler{tele: t, sched: sched}
 	s.ticker = sched.EveryTag(tagSampler, interval, s.sample)
 	return s
 }
 
-// Interval returns the sampling period.
-func (s *Sampler) Interval() time.Duration { return s.interval }
-
 func (s *Sampler) sample() {
 	snap := s.tele.Registry.Snapshot(s.sched.Now())
 	s.tele.Snapshots = append(s.tele.Snapshots, snap)
-	for _, fn := range s.onSample {
-		fn(snap)
-	}
 	for _, fn := range s.tele.onSample {
 		fn(snap)
 	}
-}
-
-// OnSample registers fn to run with each new snapshot, after it has
-// been recorded. Consumers that trace per-component state (e.g. the
-// tcp Series adapters) hook here so their samples land on the same
-// timebase as the metric snapshots.
-func (s *Sampler) OnSample(fn func(*Snapshot)) {
-	s.onSample = append(s.onSample, fn)
 }
 
 // Stop cancels future samples.

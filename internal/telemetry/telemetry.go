@@ -23,6 +23,10 @@
 //     identity and serialized with fixed field order, so two identical
 //     runs produce byte-identical output.
 //
+//   - Observation never changes results. Attaching a plane, and how
+//     often it samples, leaves every simulated outcome as it is: model
+//     code never takes its timebase or behaviour from a sampler.
+//
 // A Telemetry value bundles the three pieces for one simulation run;
 // netsim.Network.AttachTelemetry wires a network into it.
 package telemetry
@@ -38,8 +42,8 @@ import (
 
 // Telemetry bundles a registry, an event bus, and the snapshots taken
 // by samplers for one instrumented run. Create with New; attach to
-// networks via netsim's AttachTelemetry (or the netsim.DefaultTelemetry
-// hook used by the CLIs).
+// networks via netsim's AttachTelemetry, which a run context
+// (harness.Ctx) calls for every network it adopts.
 type Telemetry struct {
 	Registry *Registry
 	Bus      *Bus
@@ -66,12 +70,9 @@ func New() *Telemetry {
 }
 
 // StartSampler begins periodic registry sampling on the scheduler,
-// appending snapshots to t.Snapshots. The returned sampler exposes
-// OnSample for consumers (e.g. tcp series adapters) that want to share
-// the sampler's timebase.
+// appending snapshots to t.Snapshots.
 func (t *Telemetry) StartSampler(sched *sim.Scheduler, interval time.Duration) *Sampler {
-	s := newSampler(t, sched, interval)
-	return s
+	return newSampler(t, sched, interval)
 }
 
 // OnSample registers fn to run on every snapshot taken by any sampler
